@@ -45,4 +45,13 @@ object Baseline {
     RunResult(emissions, st.frontiers.map { case (u, f) => u -> f.ids },
       st.counter.comparisons, System.nanoTime() - t0)
   }
+
+  /** `run`, or BaselineSW's when `window` is given. */
+  def run(users: Seq[UserPrefs], objects: Seq[Obj], window: Option[Int], snapshotEvery: Int): SWRunResult =
+    window match {
+      case Some(w) => BaselineSW.run(users, objects, w, snapshotEvery)
+      case None =>
+        val r = run(users, objects)
+        SWRunResult(r.emissions, r.frontiers, Nil, r.comparisons, r.wallNanos)
+    }
 }

@@ -56,4 +56,13 @@ object FilterThenVerify {
       states.map(_.counter.comparisons).sum,
       System.nanoTime() - t0)
   }
+
+  /** `run`, or FilterThenVerifySW's when `window` is given. */
+  def run(clusters: Seq[Cluster], objects: Seq[Obj], window: Option[Int], snapshotEvery: Int): SWRunResult =
+    window match {
+      case Some(w) => FilterThenVerifySW.run(clusters, objects, w, snapshotEvery)
+      case None =>
+        val r = run(clusters, objects)
+        SWRunResult(r.emissions, r.frontiers, Nil, r.comparisons, r.wallNanos)
+    }
 }
