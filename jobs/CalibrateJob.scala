@@ -25,10 +25,7 @@ object CalibrateJob {
         val clusters = Experiments.approxClustersAt(users, dendro, h)
         val avgApproxFrac = clusters.map { c =>
           val exact = Clustering.commonRels(c.members)
-          c.filterRels.zip(exact).map { case (a, e) =>
-            val own = c.members.head.rels.zip(exact).map(_._1.size).sum / 4.0
-            s"${e.size}/${a.size}"
-          }.mkString(" ")
+          c.filterRels.zip(exact).map { case (a, e) => s"${e.size}/${a.size}" }.mkString(" ")
         }
         println(f"h=$h%.2f  clusters=${cut.size}%3d  sizes=${sizes.take(12).mkString(",")}" +
           s"  (common/approx tuples per attr of first cluster: ${avgApproxFrac.headOption.getOrElse("-")})")
@@ -40,15 +37,7 @@ object CalibrateJob {
       val t2s = sys.env.get("REPRO_CAL_T2").map(_.split(",").map(_.toDouble).toSeq)
         .getOrElse(Seq(Experiments.Threshold2))
       for (t2 <- t2s; h <- Experiments.BranchCuts) {
-        val byId = users.map(u => u.userId -> u).toMap
-        val clusters = dendro.cut(h).zipWithIndex.map { case (ids, cid) =>
-          val members = ids.toSeq.sorted.map(byId)
-          val rels = Array.tabulate(4) { d =>
-            ApproxPrefs.getApproxPreferenceTuples(members.map(_.rels(d)),
-              Experiments.threshold1For(members.head.rels(d).domainSize), t2)
-          }
-          Cluster(cid, rels, members)
-        }
+        val clusters = Experiments.approxClustersAt(users, dendro, h, t2)
         val approx = FilterThenVerify.run(clusters, objects)
         val prf = Metrics.prf(approx.frontiers, exact.frontiers)
         println(f"t2=$t2%.2f h=$h%.2f  n=$n  precision=${prf.precision * 100}%6.2f  recall=${prf.recall * 100}%6.2f" +

@@ -6,7 +6,7 @@ import repro.exp.Experiments
 /** Shared SparkSession bootstrap for spark-submit entrypoints. */
 object JobSession {
   def build(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -8,15 +8,16 @@ package repro.core
   */
 object ApproxPrefs {
 
+  /** Default deterministic tie-break among equal-frequency tuples. */
+  def defaultTieRank(p: (Int, Int)): Long = p._1.toLong * 1000000L + p._2
+
   /** Build `≻_aU^d` for one attribute from the members' relations.
     *
     * @param rels       the members' relations on the attribute
     * @param threshold1 max size of the approximate relation (Alg. 3 line 7)
     * @param threshold2 min tuple frequency (fraction of members), exclusive
+    * @param tieRank    order among tuples of equal frequency
     */
-  /** Default deterministic tie-break among equal-frequency tuples. */
-  def defaultTieRank(p: (Int, Int)): Long = p._1.toLong * 1000000L + p._2
-
   def getApproxPreferenceTuples(rels: Seq[PrefRelation], threshold1: Int,
                                 threshold2: Double,
                                 tieRank: ((Int, Int)) => Long = defaultTieRank): PrefRelation = {
@@ -52,16 +53,6 @@ object ApproxPrefs {
     val d = members.head.rels.length
     Array.tabulate(d)(i => getApproxPreferenceTuples(members.map(_.rels(i)), threshold1, threshold2))
   }
-
-  /** Materialize clusters whose filter is the approximate common relation. */
-  def approxClusters(users: Seq[UserPrefs], dendro: Clustering.Dendrogram, h: Double,
-                     threshold1: Int, threshold2: Double): Seq[Cluster] = {
-    val byId = users.map(u => u.userId -> u).toMap
-    dendro.cut(h).zipWithIndex.map { case (ids, cid) =>
-      val members = ids.toSeq.sorted.map(byId)
-      Cluster(cid, approxRels(members, threshold1, threshold2), members)
-    }
-  }
 }
 
 /** Efficacy metrics (Sec. VIII-A Eq. 7-8): compare per-user approximate
@@ -73,16 +64,9 @@ object Metrics {
       if (precision + recall == 0) 0.0 else 2 * precision * recall / (precision + recall)
   }
 
-  def prf(approx: Map[Int, Set[Long]], exact: Map[Int, Set[Long]]): PRF = {
-    var tp = 0L; var approxTotal = 0L; var exactTotal = 0L
-    (approx.keySet ++ exact.keySet).foreach { uid =>
-      val a = approx.getOrElse(uid, Set.empty)
-      val e = exact.getOrElse(uid, Set.empty)
-      tp += (a & e).size; approxTotal += a.size; exactTotal += e.size
-    }
-    PRF(if (approxTotal == 0) 1.0 else tp.toDouble / approxTotal,
-        if (exactTotal == 0) 1.0 else tp.toDouble / exactTotal)
-  }
+  /** Precision and recall of the final frontiers (Table XI). */
+  def prf(approx: Map[Int, Set[Long]], exact: Map[Int, Set[Long]]): PRF =
+    prfOverSnapshots(Seq(approx), Seq(exact))
 
   /** Accumulate precision/recall over a sequence of paired snapshots
     * (sliding-window efficacy, Table XII).

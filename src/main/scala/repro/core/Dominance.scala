@@ -18,7 +18,6 @@ final case class Obj(ts: Long, attrs: Array[Int]) extends Serializable {
   */
 final class OpCounter extends Serializable {
   var comparisons: Long = 0L
-  def reset(): Unit = comparisons = 0L
 }
 
 /** Object dominance under a vector of per-attribute preference relations
@@ -56,9 +55,4 @@ object Dominance {
     else if (bBetter) DominatedBy
     else Identical
   }
-
-  /** `a ≻ b` under `prefs`. */
-  def dominates(prefs: Array[PrefRelation], a: Array[Int], b: Array[Int],
-                counter: OpCounter): Boolean =
-    compare(prefs, a, b, counter) == Dominates
 }

@@ -8,15 +8,20 @@ import scala.collection.mutable
   */
 final case class UpdateResult(isPareto: Boolean, removed: Seq[Obj])
 
+object UpdateResult {
+  /** The result for an object some member dominates. */
+  val Dominated: UpdateResult = UpdateResult(isPareto = false, Nil)
+}
+
 /** Incremental Pareto frontier under a fixed preference-relation vector
   * (one strict partial order per attribute). This is the paper's Alg. 1
-  * inner procedure; it backs per-user frontiers, per-cluster filter
-  * frontiers (Alg. 2), and the sliding-window variants.
+  * inner procedure; it backs member frontiers `P_c` and, as a [[Level]],
+  * Baseline users and cluster filters `P_U`.
   *
   * Insertion order is preserved (LinkedHashMap keyed by timestamp) so
   * sequential comparison order matches the paper's description.
   */
-final class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
+class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     extends Serializable {
 
   private val members = mutable.LinkedHashMap.empty[Long, Obj]
@@ -52,11 +57,26 @@ final class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     UpdateResult(isPareto, removed.toSeq)
   }
 
-  /** Is `o` dominated by any current member? (Pure check, no mutation —
-    * used by the sliding-window algorithms' guard steps.)
+  /** How an arrival enters the frontier. Append-only, it is the one-pass
+    * [[update]]. Windowed (Algs. 4/5 `updateParetoFrontierSW`), it is a test
+    * for a dominator, then the eviction of the members `o` dominates. The
+    * two keep each algorithm's own comparison count.
     */
-  def dominatesNew(o: Obj): Boolean =
-    members.values.exists(m => Dominance.compare(prefs, m.attrs, o.attrs, counter) == Dominance.Dominates)
+  def admit(o: Obj, windowed: Boolean): UpdateResult =
+    if (!windowed) update(o)
+    else if (dominatesNew(o)) UpdateResult.Dominated
+    else {
+      val gone = evictDominatedBy(o)
+      insert(o)
+      UpdateResult(isPareto = true, gone)
+    }
+
+  /** `a ≻ b` under this frontier's prefs (one counted comparison). */
+  def dominates(a: Obj, b: Obj): Boolean =
+    Dominance.compare(prefs, a.attrs, b.attrs, counter) == Dominance.Dominates
+
+  /** Is `o` dominated by any current member? (No mutation.) */
+  def dominatesNew(o: Obj): Boolean = members.values.exists(dominates(_, o))
 
   /** Insert without checks (caller already established Pareto-optimality). */
   def insert(o: Obj): Unit = members.put(o.ts, o)
@@ -66,8 +86,7 @@ final class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
 
   /** Evict all members dominated by `o` (w.r.t. this frontier's prefs). */
   def evictDominatedBy(o: Obj): Seq[Obj] = {
-    val gone = members.values.filter(m =>
-      Dominance.compare(prefs, o.attrs, m.attrs, counter) == Dominance.Dominates).toSeq
+    val gone = members.values.filter(dominates(o, _)).toSeq
     gone.foreach(m => members.remove(m.ts))
     gone
   }

@@ -1,7 +1,6 @@
 package repro.data
 
 import repro.core.{Obj, PrefRelation, UserPrefs}
-import scala.collection.mutable
 import scala.util.Random
 
 /** Synthetic stand-ins for the paper's Movie (Netflix ⋈ IMDB) and

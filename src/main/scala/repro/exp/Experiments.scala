@@ -21,8 +21,9 @@ object Experiments {
   /** Branch cuts used throughout the paper's evaluation. */
   val BranchCuts: Seq[Double] = Seq(0.70, 0.65, 0.60, 0.55)
 
-  /** Approximation thresholds (Alg. 3): threshold2 = 60% as in Ex. 11;
-    * threshold1 scales with the domain (max relation size of a chain).
+  /** Approximation thresholds (Alg. 3): threshold1 scales with the domain
+    * (a third of a chain's closure size); threshold2 = 0.9, not Ex. 11's
+    * 60% (see DESIGN.md §3).
     */
   def threshold1For(domainSize: Int): Int = domainSize * (domainSize - 1) / 3
   val Threshold2 = 0.9
@@ -51,15 +52,15 @@ object Experiments {
   /** Cluster users with the approximate-similarity dendrogram (Sec. VI-C
     * weighted vector Jaccard) and materialize approx clusters at cut `h`.
     */
-  def approxClustersAt(users: Seq[UserPrefs], dendro: Clustering.Dendrogram,
-                       h: Double): Seq[Cluster] = {
+  def approxClustersAt(users: Seq[UserPrefs], dendro: Clustering.Dendrogram, h: Double,
+                       threshold2: Double = Threshold2): Seq[Cluster] = {
     val byId = users.map(u => u.userId -> u).toMap
     dendro.cut(h).zipWithIndex.map { case (ids, cid) =>
       val members = ids.toSeq.sorted.map(byId)
       val rels = Array.tabulate(members.head.rels.length) { d =>
         ApproxPrefs.getApproxPreferenceTuples(
           members.map(_.rels(d)),
-          threshold1For(members.head.rels(d).domainSize), Threshold2)
+          threshold1For(members.head.rels(d).domainSize), threshold2)
       }
       Cluster(cid, rels, members)
     }
@@ -90,16 +91,11 @@ object Experiments {
 
   // -------------------------------------------------------------- Table XII
 
-  /** Table XII: efficacy of FilterThenVerifyApproxSW over sliding windows,
-    * varying W and h. Efficacy is accumulated over periodic window
-    * snapshots (the append-only case sums final frontiers; a sliding
-    * window has no single final state, so we sum over checkpoints).
-    */
   /** Run independent per-entity SW state machines in parallel threads and
     * merge their periodic snapshots index-wise (user states never interact
     * in BaselineSW, cluster states never interact in FilterThenVerifySW).
     */
-  private def parallelSnapshots[A](items: Seq[A], runChunk: Seq[A] => SWRunResult): Seq[Map[Int, Set[Long]]] = {
+  private def parallelSnapshots[A](items: Seq[A], runChunk: Seq[A] => RunResult): Seq[Map[Int, Set[Long]]] = {
     import scala.concurrent.{Await, ExecutionContext, Future}
     import scala.concurrent.duration.Duration
     implicit val ec: ExecutionContext = ExecutionContext.global
@@ -110,6 +106,11 @@ object Experiments {
     (0 until nSnaps).map(i => results.flatMap(_.snapshots(i)).toMap)
   }
 
+  /** Table XII: efficacy of FilterThenVerifyApproxSW over sliding windows,
+    * varying W and h. Efficacy is accumulated over periodic window
+    * snapshots (the append-only case sums final frontiers; a sliding
+    * window has no single final state, so we sum over checkpoints).
+    */
   def table12(spark: SparkSession,
               n: Int = envInt("REPRO_BENCH_SW_N", 8000),
               nUsers: Int = envInt("REPRO_BENCH_SW_USERS", 200),
@@ -122,10 +123,10 @@ object Experiments {
       val snapEvery = math.max(1, n / 20)
       windows.flatMap { w =>
         val exact = parallelSnapshots[UserPrefs](users,
-          chunk => BaselineSW.run(chunk, objects, w, snapshotEvery = snapEvery))
+          chunk => Baseline.run(chunk, objects, Some(w), snapEvery))
         clustersByH.map { case (h, clusters) =>
           val approx = parallelSnapshots[Cluster](clusters,
-            chunk => FilterThenVerifySW.run(chunk, objects, w, snapshotEvery = snapEvery))
+            chunk => FilterThenVerify.run(chunk, objects, Some(w), snapEvery))
           val prf = Metrics.prfOverSnapshots(approx, exact)
           EffRow(cfg.name, Some(w), h, prf.precision, prf.recall)
         }

@@ -2,10 +2,9 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import org.apache.spark.util.LongAccumulator
 import repro.core._
 
-import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Distributed continuous-dissemination dataflow (repro hint: object stream
   * matched against *clustered user-preference partitions*).
@@ -18,22 +17,15 @@ import scala.collection.mutable
   * Streaming path: Structured Streaming with `flatMapGroupsWithState`
   * keyed by cluster id. Each incoming micro-batch of objects is replicated
   * to every cluster key (the "join" of the object stream with the
-  * preference partitions); per-key state holds the cluster's filter
-  * frontier, shared Pareto buffer and member frontiers, with count-based
-  * sliding-window expiry handled inside the state (Sec. VII semantics).
+  * preference partitions); the per-key state is the core [[Replay]] of
+  * that one cluster, count-based sliding-window expiry included (Sec. VII
+  * semantics). As in the batch run, the final W objects never expire: no
+  * arrival follows to push them out.
   */
 object Dissemination {
 
   /** Row form of an emission: object `ts` was disseminated to `userId`. */
   final case class EmitRow(ts: Long, userId: Int)
-
-  /** Row form of a final frontier entry: `objTs ∈ P_{userId}`. */
-  final case class FrontierRow(userId: Int, objTs: Long)
-
-  final case class BatchResult(emissions: Seq[Emission],
-                               frontiers: Map[Int, Set[Long]],
-                               comparisons: Long,
-                               wallNanos: Long)
 
   /** Internal union row for a single collect of emissions + frontiers
     * (public: Catalyst's generated code must construct it).
@@ -42,104 +34,49 @@ object Dissemination {
   private val EmitKind: Byte = 0
   private val FrontKind: Byte = 1
 
-  private def collectResult(rows: Seq[OutRow], objects: Seq[Obj],
-                            allUsers: Seq[Int], comparisons: Long, t0: Long): BatchResult = {
+  /** The batch body: one task per unit (a Baseline user or a cluster)
+    * replays the broadcast stream through `run`; comparisons add up in an
+    * accumulator, and emissions and final frontiers come back in one collect.
+    */
+  private def runBatch[A: ClassTag](spark: SparkSession, units: Seq[A], allUsers: Seq[Int],
+                                    objects: Seq[Obj])(run: (A, Seq[Obj]) => RunResult): RunResult = {
+    import spark.implicits._
+    val t0 = System.nanoTime()
+    val acc = spark.sparkContext.longAccumulator("comparisons")
+    val objB = spark.sparkContext.broadcast(objects.sortBy(_.ts))
+    implicit val unitEnc: Encoder[A] = Encoders.javaSerialization[A]
+    val rows = spark.createDataset(units).flatMap { u =>
+      val res = run(u, objB.value)
+      acc.add(res.comparisons)
+      res.emissions.iterator.flatMap(e => e.users.iterator.map(uid => OutRow(EmitKind, e.ts, uid))) ++
+        res.frontiers.iterator.flatMap { case (uid, ids) => ids.iterator.map(OutRow(FrontKind, _, uid)) }
+    }.collect().toSeq
     val emits = rows.filter(_.kind == EmitKind).groupBy(_.ts)
       .view.mapValues(_.map(_.userId).toSet).toMap
-    val emissions = objects.sortBy(_.ts).map(o => Emission(o.ts, emits.getOrElse(o.ts, Set.empty)))
     val fronts = rows.filter(_.kind == FrontKind).groupBy(_.userId)
       .view.mapValues(_.map(_.ts).toSet).toMap
-    val frontiers = allUsers.map(u => u -> fronts.getOrElse(u, Set.empty[Long])).toMap
-    BatchResult(emissions, frontiers, comparisons, System.nanoTime() - t0)
+    RunResult(objects.sortBy(_.ts).map(o => Emission(o.ts, emits.getOrElse(o.ts, Set.empty))),
+      allUsers.map(u => u -> fronts.getOrElse(u, Set.empty[Long])).toMap,
+      Nil, acc.value, System.nanoTime() - t0)
   }
 
-  /** Baseline over Spark: one state machine per user, users partitioned
-    * across the cluster. `window = Some(w)` selects BaselineSW.
-    */
+  /** Baseline over Spark, one task per user; `window = Some(w)` is BaselineSW. */
   def runBaseline(spark: SparkSession, users: Seq[UserPrefs], objects: Seq[Obj],
-                  window: Option[Int] = None): BatchResult = {
-    import spark.implicits._
-    val t0 = System.nanoTime()
-    val acc: LongAccumulator = spark.sparkContext.longAccumulator("comparisons")
-    val objB = spark.sparkContext.broadcast(objects.sortBy(_.ts))
-    implicit val userEnc: Encoder[UserPrefs] = Encoders.javaSerialization[UserPrefs]
-    val rows = spark.createDataset(users).flatMap { u =>
-      val res = window match {
-        case Some(w) => BaselineSW.run(Seq(u), objB.value, w)
-        case None =>
-          val r = Baseline.run(Seq(u), objB.value)
-          SWRunResult(r.emissions, r.frontiers, Nil, r.comparisons, r.wallNanos)
-      }
-      acc.add(res.comparisons)
-      res.emissions.iterator.flatMap(e => e.users.iterator.map(uid => OutRow(EmitKind, e.ts, uid))) ++
-        res.frontiers.iterator.flatMap { case (uid, ids) => ids.iterator.map(OutRow(FrontKind, _, uid)) }
-    }.collect().toSeq
-    collectResult(rows, objects, users.map(_.userId), acc.value, t0)
-  }
+                  window: Option[Int] = None): RunResult =
+    runBatch(spark, users, users.map(_.userId), objects)((u, objs) => Baseline.run(Seq(u), objs, window))
 
-  /** FilterThenVerify over Spark: one state machine per cluster.
-    * `window = Some(w)` selects FilterThenVerifySW.
+  /** FilterThenVerify over Spark, one task per cluster; `window = Some(w)`
+    * is FilterThenVerifySW.
     */
   def runFilterThenVerify(spark: SparkSession, clusters: Seq[Cluster], objects: Seq[Obj],
-                          window: Option[Int] = None): BatchResult = {
-    import spark.implicits._
-    val t0 = System.nanoTime()
-    val acc: LongAccumulator = spark.sparkContext.longAccumulator("comparisons")
-    val objB = spark.sparkContext.broadcast(objects.sortBy(_.ts))
-    implicit val clusterEnc: Encoder[Cluster] = Encoders.javaSerialization[Cluster]
-    val allUsers = clusters.flatMap(_.members.map(_.userId))
-    val rows = spark.createDataset(clusters).flatMap { c =>
-      val res = window match {
-        case Some(w) => FilterThenVerifySW.run(Seq(c), objB.value, w)
-        case None =>
-          val r = FilterThenVerify.run(Seq(c), objB.value)
-          SWRunResult(r.emissions, r.frontiers, Nil, r.comparisons, r.wallNanos)
-      }
-      acc.add(res.comparisons)
-      res.emissions.iterator.flatMap(e => e.users.iterator.map(uid => OutRow(EmitKind, e.ts, uid))) ++
-        res.frontiers.iterator.flatMap { case (uid, ids) => ids.iterator.map(OutRow(FrontKind, _, uid)) }
-    }.collect().toSeq
-    collectResult(rows, objects, allUsers, acc.value, t0)
-  }
+                          window: Option[Int] = None): RunResult =
+    runBatch(spark, clusters, clusters.flatMap(_.members.map(_.userId)), objects)(
+      (c, objs) => FilterThenVerify.run(Seq(c), objs, window))
 
   // ------------------------------------------------------------- streaming
 
   /** Object event as fed to the stream (Seq so a product encoder applies). */
   final case class ObjEvent(ts: Long, attrs: Seq[Int])
-
-  /** Per-cluster streaming state: the FilterThenVerify(SW) state machine
-    * plus the alive-object queue used for count-based expiry.
-    */
-  final class StreamClusterState(val cluster: Cluster, val window: Option[Int])
-      extends Serializable {
-    val counter = new OpCounter
-    val ftv = new FilterThenVerify.ClusterState(cluster, counter)
-    val ftvSw = new FilterThenVerifySW.ClusterState(cluster, counter)
-    val alive = mutable.Queue.empty[Long]
-    var lastTs: Long = Long.MinValue
-
-    /** Process one arrival (must be fed in ts order); returns emissions. */
-    def process(o: Obj): Seq[EmitRow] = {
-      require(o.ts > lastTs, s"out-of-order arrival ${o.ts} after $lastTs")
-      lastTs = o.ts
-      window match {
-        case None => ftv.onArrival(o).toSeq.map(EmitRow(o.ts, _))
-        case Some(w) =>
-          val late = mutable.ArrayBuffer.empty[EmitRow]
-          alive += o.ts
-          while (alive.size > w) {
-            val outTs = alive.dequeue()
-            ftvSw.onExpiry(outTs).foreach { case (uid, promoted) =>
-              promoted.foreach(p => late += EmitRow(p.ts, uid))
-            }
-          }
-          late.toSeq ++ ftvSw.onArrival(o).toSeq.map(EmitRow(o.ts, _))
-      }
-    }
-
-    def frontiers: Map[Int, Set[Long]] =
-      if (window.isEmpty) ftv.frontiers else ftvSw.frontiers
-  }
 
   /** Build the streaming query transformation: events → per-user emissions.
     * The caller owns the source (MemoryStream in tests, any source in jobs)
@@ -149,28 +86,21 @@ object Dissemination {
                          clusters: Seq[Cluster], window: Option[Int]): Dataset[EmitRow] = {
     import spark.implicits._
     val clusterB = spark.sparkContext.broadcast(clusters.map(c => c.clusterId -> c).toMap)
-    implicit val stateEnc: Encoder[StreamClusterState] =
-      Encoders.javaSerialization[StreamClusterState]
+    implicit val stateEnc: Encoder[Replay] = Encoders.javaSerialization[Replay]
     val clusterIds = clusters.map(_.clusterId)
     events
       .flatMap(e => clusterIds.map(cid => (cid, e)))
       .groupByKey(_._1)
-      .flatMapGroupsWithState[StreamClusterState, EmitRow](
+      .flatMapGroupsWithState[Replay, EmitRow](
         OutputMode.Append, GroupStateTimeout.NoTimeout()) {
-        (cid: Int, rows: Iterator[(Int, ObjEvent)], state: GroupState[StreamClusterState]) =>
-          val st = state.getOption.getOrElse(
-            new StreamClusterState(clusterB.value(cid), window))
+        (cid: Int, rows: Iterator[(Int, ObjEvent)], state: GroupState[Replay]) =>
+          val st = state.getOption.getOrElse(new Replay(
+            Seq(new FilterThenVerify.ClusterState(clusterB.value(cid), windowed = window.isDefined)), window))
           val out = rows.map(_._2).toSeq.sortBy(_.ts).flatMap { e =>
-            st.process(Obj(e.ts, e.attrs.toArray))
+            st.step(Obj(e.ts, e.attrs.toArray)).flatMap(em => em.users.map(EmitRow(em.ts, _)))
           }
           state.update(st)
           out.iterator
       }
   }
-
-  /** Windowed expiry of the sliding window happens one arrival late in the
-    * streaming path only for the *final* W objects (no arrival follows to
-    * trigger their expiry) — identical to the batch SW semantics, where the
-    * last window also never expires.
-    */
 }

@@ -13,7 +13,6 @@ object ParetoSql {
 
   /** Objects as a DataFrame: `ts, a0, ..., a{d-1}`. */
   def objectsDf(spark: SparkSession, objects: Seq[Obj]): DataFrame = {
-    import spark.implicits._
     val d = objects.head.attrs.length
     val rows = objects.map(o => (o.ts +: o.attrs.map(_.toLong)).toSeq)
     spark.createDataFrame(

@@ -13,7 +13,6 @@ class ClusteringSpec extends AnyFunSuite {
   }
 
   private val repU1 = rep(tableIvC1, tableIvC2)
-  private val repU2 = rep(tableIvC3, tableIvC4)
   private val repU3 = rep(tableIvC5, tableIvC6)
 
   // ------------------------------------------------ exact measures (Sec. V)

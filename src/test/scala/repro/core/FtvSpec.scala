@@ -95,6 +95,21 @@ class FtvSpec extends AnyFunSuite {
     assert(ftv.frontiers(0) == Set(1L) && ftv.frontiers(1) == Set(1L))
   }
 
+  test("duplicate timestamps are rejected, not answered from an overwritten frontier") {
+    // Two incomparable objects share ts = 1; frontiers are keyed by ts, so
+    // the second would replace the first and a later object dominated only
+    // by the first would reach the user.
+    val user = UserPrefs(0, Array(cpuC1, cpuC2))
+    val objects = Seq(Obj(1, Array(Dual, Single)), Obj(1, Array(Triple, Quad)),
+      Obj(2, Array(Quad, Single)))
+    for (run <- Seq(() => Baseline.run(Seq(user), objects),
+                    () => FilterThenVerify.run(Seq(Cluster(0, user.rels, Seq(user))), objects),
+                    () => FilterThenVerifySW.run(Seq(Cluster(0, user.rels, Seq(user))), objects, 2))) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("out-of-order arrival 1 after 1"))
+    }
+  }
+
   // ------------------------------------------------------- approximate FTV
 
   for (seed <- 0 until 8)

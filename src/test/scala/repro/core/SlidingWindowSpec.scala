@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import scala.collection.mutable
 import scala.util.Random
 import TestGen._
 
@@ -12,21 +11,22 @@ import TestGen._
   */
 class SlidingWindowSpec extends AnyFunSuite {
 
-  /** Step-by-step checker: replay the stream through BaselineSW user
-    * states while checking frontier and buffer against brute force.
+  /** Step-by-step checker: replay the stream through a windowed Baseline
+    * state while checking each user's frontier and buffer against brute
+    * force.
     */
   private def checkBaselineSW(users: Seq[UserPrefs], objects: Seq[Obj], w: Int): Unit = {
-    val counter = new OpCounter
-    val states = users.map(u => u -> new BaselineSW.UserState(u.rels, counter))
+    val st = new Baseline.State(users, new OpCounter, windowed = true)
     val sorted = objects.sortBy(_.ts)
     sorted.zipWithIndex.foreach { case (o, i) =>
-      if (i >= w) states.foreach(_._2.onExpiry(sorted(i - w).ts))
-      states.foreach(_._2.onArrival(o))
+      if (i >= w) st.onExpiry(sorted(i - w).ts)
+      st.onArrival(o)
       val alive = sorted.slice(math.max(0, i - w + 1), i + 1)
-      states.foreach { case (u, st) =>
-        assert(st.frontier.ids == BruteForce.frontier(u.rels, alive),
+      users.foreach { u =>
+        val level = st.frontiers(u.userId)
+        assert(level.ids == BruteForce.frontier(u.rels, alive),
           s"user ${u.userId} step $i frontier mismatch")
-        assert(st.buffer.keySet.toSet == BruteForce.buffer(u.rels, alive),
+        assert(level.buffer.keySet.toSet == BruteForce.buffer(u.rels, alive),
           s"user ${u.userId} step $i buffer mismatch")
       }
     }
@@ -62,7 +62,7 @@ class SlidingWindowSpec extends AnyFunSuite {
             s"cluster ${st.cluster.clusterId} step $i P_U mismatch")
           assert(st.buffer.keySet.toSet == BruteForce.buffer(st.cluster.filterRels, alive),
             s"cluster ${st.cluster.clusterId} step $i PB_U mismatch")
-          st.frontiers.foreach { case (uid, ids) =>
+          st.frontierIds.foreach { case (uid, ids) =>
             assert(ids == BruteForce.frontier(byId(uid).rels, alive),
               s"user $uid step $i P_c mismatch (alive=${alive.map(_.ts)})")
           }
@@ -78,7 +78,7 @@ class SlidingWindowSpec extends AnyFunSuite {
       val objects = randomObjects(rng, 80, domains)
       val clusters = randomExactClusters(rng, users, 2)
       val w = 12 + rng.nextInt(8)
-      val base = BaselineSW.run(users, objects, w)
+      val base = Baseline.run(users, objects, Some(w))
       val ftv = FilterThenVerifySW.run(clusters, objects, w)
       assert(ftv.emissions.map(e => e.ts -> e.users).toMap == base.emissions.map(e => e.ts -> e.users).toMap)
       assert(ftv.frontiers == base.frontiers)
@@ -89,7 +89,7 @@ class SlidingWindowSpec extends AnyFunSuite {
     val domains = Seq(5, 5)
     val users = randomUsers(rng, 5, domains)
     val objects = randomObjects(rng, 40, domains)
-    val swRun = BaselineSW.run(users, objects, window = 1000)
+    val swRun = Baseline.run(users, objects, window = Some(1000))
     val plain = Baseline.run(users, objects)
     assert(swRun.frontiers == plain.frontiers)
     // Arrival-time emissions agree (no expiries ever happen).
@@ -102,7 +102,7 @@ class SlidingWindowSpec extends AnyFunSuite {
     val users = Seq(UserPrefs(0, Array(cpuC1)))
     val objects = Seq(Obj(1, Array(Quad)), Obj(2, Array(Dual)),
       Obj(3, Array(Single)), Obj(4, Array(Single)))
-    val res = BaselineSW.run(users, objects, window = 2)
+    val res = Baseline.run(users, objects, window = Some(2))
     // Window (2,4]: alive = {o3,o4}; o1 was dominated by o2 and is gone
     // even though o2 has expired.
     assert(res.frontiers(0) == Set(3L, 4L))
@@ -113,11 +113,11 @@ class SlidingWindowSpec extends AnyFunSuite {
     val chain = PrefRelation.fromEdges(3, Seq((0, 1), (1, 2)))
     val users = Seq(UserPrefs(0, Array(chain)))
     val objects = Seq(Obj(1, Array(1)), Obj(2, Array(0)), Obj(3, Array(1)), Obj(4, Array(2)))
-    val res = BaselineSW.run(users, objects, window = 3)
+    val res = Baseline.run(users, objects, window = Some(3))
     // After ts=4 arrives, ts=1 expired; alive {2,3,4}: frontier = {2} (value 0).
     assert(res.frontiers(0) == Set(2L))
     // One more arrival expires ts=2 (the dominator): ts=3 (value 1) must be mended in.
-    val res2 = BaselineSW.run(users, objects :+ Obj(5, Array(2)), window = 3)
+    val res2 = Baseline.run(users, objects :+ Obj(5, Array(2)), window = Some(3))
     assert(res2.frontiers(0) == Set(3L))
     // The promoted object is credited to C_o (late dissemination).
     assert(res2.emissions.map(e => e.ts -> e.users).toMap.apply(3L) == Set(0))
@@ -148,7 +148,7 @@ class SlidingWindowSpec extends AnyFunSuite {
     val domains = Seq(4)
     val users = randomUsers(rng, 2, domains)
     val objects = randomObjects(rng, 30, domains)
-    val res = BaselineSW.run(users, objects, window = 10, snapshotEvery = 10)
+    val res = Baseline.run(users, objects, window = Some(10), snapshotEvery = 10)
     assert(res.snapshots.size == 3)
   }
 }

@@ -24,7 +24,7 @@ object TestGen {
   def perturbedRelation(rng: Random, base: PrefRelation, drop: Double = 0.2,
                         addTries: Int = 3): PrefRelation = {
     val m = base.domainSize
-    var edges = (for {
+    val edges = (for {
       x <- 0 until m; y <- base.hasseSuccessors(x)
       if rng.nextDouble() >= drop
     } yield (x, y)).toVector

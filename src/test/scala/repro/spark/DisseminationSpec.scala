@@ -44,14 +44,17 @@ class DisseminationSpec extends SparkSpec {
     test(s"batch sliding-window runs over Spark equal the local runs (seed=$seed)") {
       val (users, objects, clusters) = scenario(20 + seed)
       val w = 15
-      val localB = BaselineSW.run(users, objects, w)
+      val localB = Baseline.run(users, objects, Some(w))
       val distB = Dissemination.runBaseline(spark, users, objects, Some(w))
       assert(distB.emissions.map(e => e.ts -> e.users).toMap ==
         localB.emissions.map(e => e.ts -> e.users).toMap)
       assert(distB.frontiers == localB.frontiers)
+      assert(distB.comparisons == localB.comparisons)
       val localF = FilterThenVerifySW.run(clusters, objects, w)
       val distF = Dissemination.runFilterThenVerify(spark, clusters, objects, Some(w))
+      assert(distF.emissions == localF.emissions)
       assert(distF.frontiers == localF.frontiers)
+      assert(distF.comparisons == localF.comparisons)
     }
 
   private def runStreaming(clusters: Seq[Cluster], objects: Seq[Obj],
