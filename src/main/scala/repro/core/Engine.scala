@@ -92,7 +92,7 @@ sealed abstract class EngineState extends Serializable {
   */
 object Baseline {
 
-  class State(users: Seq[UserPrefs], val counter: OpCounter = new OpCounter, windowed: Boolean = false)
+  final class State(users: Seq[UserPrefs], val counter: OpCounter = new OpCounter, windowed: Boolean = false)
       extends EngineState {
     val frontiers: Map[Int, Level] =
       users.map(u => u.userId -> new Level(u.rels, counter, windowed)).toMap
