@@ -37,15 +37,23 @@ object Dominance {
     * attribute). Bumps `counter` once per call.
     */
   def compare(prefs: Array[PrefRelation], a: Array[Int], b: Array[Int],
+              counter: OpCounter): Int = compare(prefs, a, 0, b, 0, counter)
+
+  /** The same comparison of the attribute slices `a(aOff until aOff + d)`
+    * and `b(bOff until bOff + d)`, `d = prefs.length`, so that a frontier
+    * can compare against its flat attribute column in place.
+    */
+  def compare(prefs: Array[PrefRelation], a: Array[Int], aOff: Int, b: Array[Int], bOff: Int,
               counter: OpCounter): Int = {
     counter.comparisons += 1
     var aBetter = false; var bBetter = false
     var d = 0
     while (d < prefs.length) {
-      val x = a(d); val y = b(d)
+      val x = a(aOff + d); val y = b(bOff + d)
       if (x != y) {
-        if (prefs(d).prefers(x, y)) aBetter = true
-        else if (prefs(d).prefers(y, x)) bBetter = true
+        val r = prefs(d)
+        if (r.prefers(x, y)) aBetter = true
+        else if (r.prefers(y, x)) bBetter = true
         else return Incomparable // incomparable attribute values ⇒ no dominance
       }
       d += 1

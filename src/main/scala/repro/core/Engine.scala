@@ -44,8 +44,8 @@ final case class RunResult(emissions: Seq[Emission],
 final class Level(prefs: Array[PrefRelation], counter: OpCounter, windowed: Boolean)
     extends Frontier(prefs, counter) {
 
-  /** `PB` in arrival order; never built when append-only. */
-  lazy val buffer = mutable.LinkedHashMap.empty[Long, Obj]
+  /** `PB` in arrival order, stored like `P`; never built when append-only. */
+  lazy val buffer = new Frontier(prefs, counter)
 
   /** Admit `o` into `P`; when windowed, `refreshParetoBufferSW` as well:
     * `o` joins `PB` and evicts the buffer members it dominates.
@@ -53,8 +53,8 @@ final class Level(prefs: Array[PrefRelation], counter: OpCounter, windowed: Bool
   def arrive(o: Obj): UpdateResult = {
     val res = admit(o, windowed)
     if (windowed) {
-      buffer.values.filter(dominates(o, _)).foreach(b => buffer.remove(b.ts))
-      buffer.put(o.ts, o)
+      buffer.evictDominatedBy(o)
+      buffer.insert(o)
     }
     res
   }
@@ -66,11 +66,17 @@ final class Level(prefs: Array[PrefRelation], counter: OpCounter, windowed: Bool
     * the earlier promotions. Returns the promoted objects.
     */
   def expire(outTs: Long): Seq[Obj] = {
-    val out = buffer.remove(outTs)
-    if (!remove(outTs)) return Nil
+    buffer.remove(outTs)
+    val at = indexOf(outTs)
+    if (at < 0) return Nil
+    val out = obj(at)
+    removeAt(at)
     var promoted = List.empty[Obj]
-    buffer.values.foreach { o =>
-      if (dominates(out.get, o) && !dominatesNew(o)) { insert(o); promoted ::= o }
+    var i = 0
+    while (i < buffer.size) {
+      val o = buffer.obj(i)
+      if (dominates(out, buffer, i) && !dominatesNew(o)) { insert(o); promoted ::= o }
+      i += 1
     }
     promoted.reverse
   }
@@ -85,6 +91,22 @@ sealed abstract class EngineState extends Serializable {
   def onArrival(o: Obj): Set[Int]
   def onExpiry(outTs: Long): Map[Int, Seq[Obj]]
   def frontierIds: Map[Int, Set[Long]] = userFrontiers.map { case (u, f) => u -> f.ids }
+
+  /** Rejects an arrival without one value per attribute of `rels`, each
+    * inside that attribute's domain: a closure row would answer a value
+    * outside it with another value's bits.
+    */
+  protected final def requireFits(o: Obj, rels: Array[PrefRelation]): Unit = {
+    require(o.attrs.length == rels.length,
+      s"object ${o.ts} has ${o.attrs.length} attributes, the preferences ${rels.length}")
+    var d = 0
+    while (d < rels.length) {
+      val v = o.attrs(d)
+      require(v >= 0 && v < rels(d).domainSize,
+        s"object ${o.ts}: value $v of attribute $d is outside its domain 0 until ${rels(d).domainSize}")
+      d += 1
+    }
+  }
 }
 
 /** Algorithms 1 and 4 (Baseline, BaselineSW): every user keeps their own
@@ -97,9 +119,13 @@ object Baseline {
     val frontiers: Map[Int, Level] =
       users.map(u => u.userId -> new Level(u.rels, counter, windowed)).toMap
     def userFrontiers: Map[Int, Frontier] = frontiers
+    // Users share the attribute domains.
+    private val rels = users.headOption.map(_.rels)
 
-    def onArrival(o: Obj): Set[Int] =
+    def onArrival(o: Obj): Set[Int] = {
+      rels.foreach(requireFits(o, _))
       frontiers.iterator.collect { case (uid, f) if f.arrive(o).isPareto => uid }.toSet
+    }
 
     def onExpiry(outTs: Long): Map[Int, Seq[Obj]] =
       frontiers.map { case (uid, f) => uid -> f.expire(outTs) }.filter(_._2.nonEmpty)
@@ -133,9 +159,10 @@ object FilterThenVerify {
     val filterFrontier = new Level(cluster.filterRels, counter, windowed)
     val userFrontiers: Map[Int, Frontier] =
       cluster.members.map(u => u.userId -> new Frontier(u.rels, counter)).toMap
-    def buffer: mutable.LinkedHashMap[Long, Obj] = filterFrontier.buffer
+    def buffer: Frontier = filterFrontier.buffer
 
     def onArrival(o: Obj): Set[Int] = {
+      requireFits(o, cluster.filterRels)
       val res = filterFrontier.arrive(o) // updateParetoFrontierU(SW)
       res.removed.foreach(gone => userFrontiers.valuesIterator.foreach(_.remove(gone.ts)))
       if (!res.isPareto) Set.empty
@@ -143,9 +170,11 @@ object FilterThenVerify {
     }
 
     def onExpiry(outTs: Long): Map[Int, Seq[Obj]] = {
-      if (!filterFrontier.contains(outTs)) { filterFrontier.expire(outTs); return Map.empty }
-      val out = buffer(outTs)
-      filterFrontier.expire(outTs) // mendParetoFrontierUSW
+      val pu = filterFrontier
+      val at = pu.indexOf(outTs)
+      if (at < 0) { pu.expire(outTs); return Map.empty }
+      val out = pu.obj(at)
+      pu.expire(outTs) // mendParetoFrontierUSW
       // Per-member mend: only members that held o_out can gain objects.
       val promotions = mutable.Map.empty[Int, Seq[Obj]]
       userFrontiers.foreach { case (uid, pc) =>
@@ -153,7 +182,8 @@ object FilterThenVerify {
           // Candidates from P_U can c-dominate each other (they are only
           // mutually non-dominated w.r.t. ≻_U), so check each against the
           // remaining frontier AND the other candidates before promoting.
-          val cand = filterFrontier.objects.filter(o => !pc.contains(o.ts) && pc.dominates(out, o))
+          val cand = (0 until pu.size).filter(i => !pc.contains(pu.obj(i).ts) && pc.dominates(out, pu, i))
+            .map(pu.obj)
           val promoted = cand.filter(o =>
             !pc.dominatesNew(o) && !cand.exists(p => p.ts != o.ts && pc.dominates(p, o)))
           promoted.foreach(pc.insert)

@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable
+import scala.collection.immutable.ArraySeq
 
 /** Result of pushing a new object through a frontier (Alg. 1 procedure
   * `updateParetoFrontier`): whether the object is Pareto-optimal, and which
@@ -11,25 +11,50 @@ final case class UpdateResult(isPareto: Boolean, removed: Seq[Obj])
 object UpdateResult {
   /** The result for an object some member dominates. */
   val Dominated: UpdateResult = UpdateResult(isPareto = false, Nil)
+  /** The result for an object that joins and evicts no member. */
+  val Joined: UpdateResult = UpdateResult(isPareto = true, Nil)
 }
 
 /** Incremental Pareto frontier under a fixed preference-relation vector
   * (one strict partial order per attribute). This is the paper's Alg. 1
-  * inner procedure; it backs member frontiers `P_c` and, as a [[Level]],
-  * Baseline users and cluster filters `P_U`.
+  * inner procedure; it backs member frontiers `P_c`, Pareto buffers `PB`
+  * and, as a [[Level]], Baseline users and cluster filters `P_U`.
   *
-  * Insertion order is preserved (LinkedHashMap keyed by timestamp) so
-  * sequential comparison order matches the paper's description.
+  * Members are stored in insertion order in three columns: their attribute
+  * values, `d = prefs.length` per member in one flat array, their
+  * timestamps, and the objects themselves. Every scan walks the columns in
+  * that order, so sequential comparison order matches the paper's
+  * description and fixes the comparison counts; removal compacts the
+  * columns and keeps the order. A timestamp identifies its member: each is
+  * inserted at most once.
   */
 class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     extends Serializable {
 
-  private val members = mutable.LinkedHashMap.empty[Long, Obj]
+  private val d = prefs.length
+  private var n = 0
+  // Empty frontiers share the empty columns; the first insert allocates.
+  private var attrs: Array[Int] = Frontier.NoInts
+  private var tss: Array[Long] = Frontier.NoLongs
+  private var objs: Array[Obj] = Frontier.NoObjs
 
-  def contains(ts: Long): Boolean = members.contains(ts)
-  def objects: Seq[Obj] = members.values.toSeq
-  def ids: Set[Long] = members.keySet.toSet
-  def sizeNow: Int = members.size
+  /** Number of members. */
+  def size: Int = n
+  /** [[size]], the name the `perfbench/` harness reads. */
+  def sizeNow: Int = n
+  def contains(ts: Long): Boolean = indexOf(ts) >= 0
+  def objects: Seq[Obj] = ArraySeq.unsafeWrapArray(java.util.Arrays.copyOf(objs, n))
+  def ids: Set[Long] = tss.iterator.take(n).toSet
+
+  /** Position of member `ts` in insertion order, or -1. */
+  private[core] def indexOf(ts: Long): Int = {
+    var i = 0
+    while (i < n && tss(i) != ts) i += 1
+    if (i < n) i else -1
+  }
+
+  /** The member at position `i`. */
+  private[core] def obj(i: Int): Obj = objs(i)
 
   /** Alg. 1 `updateParetoFrontier`: compare `o` sequentially with current
     * members. Dominated or identical stops the scan (identical is still
@@ -37,24 +62,23 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     * survives it joins the frontier.
     */
   def update(o: Obj): UpdateResult = {
-    val removed = mutable.ArrayBuffer.empty[Obj]
-    var isPareto = true
-    var identical = false
-    val it = members.values.iterator
-    while (it.hasNext && isPareto && !identical) {
-      val m = it.next()
-      Dominance.compare(prefs, o.attrs, m.attrs, counter) match {
-        case Dominance.DominatedBy => isPareto = false
-        case Dominance.Identical   => identical = true
-        case Dominance.Dominates   => removed += m
-        case _                     => ()
+    var gone = List.empty[Obj]
+    var i = 0
+    while (i < n) {
+      Dominance.compare(prefs, o.attrs, 0, attrs, i * d, counter) match {
+        case Dominance.DominatedBy => return UpdateResult.Dominated
+        case Dominance.Identical   => i = n // still Pareto; the scan stops
+        case Dominance.Dominates   => gone ::= objs(i); i += 1
+        case _                     => i += 1
       }
     }
-    if (isPareto) {
-      removed.foreach(m => members.remove(m.ts))
-      members.put(o.ts, o)
+    if (gone.isEmpty) { insert(o); UpdateResult.Joined }
+    else {
+      val removed = gone.reverse
+      drop(removed)
+      insert(o)
+      UpdateResult(isPareto = true, removed)
     }
-    UpdateResult(isPareto, removed.toSeq)
   }
 
   /** How an arrival enters the frontier. Append-only, it is the one-pass
@@ -75,21 +99,91 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   def dominates(a: Obj, b: Obj): Boolean =
     Dominance.compare(prefs, a.attrs, b.attrs, counter) == Dominance.Dominates
 
+  /** `a ≻` the member at position `i` of `of`, under this frontier's prefs
+    * (one counted comparison).
+    */
+  private[core] def dominates(a: Obj, of: Frontier, i: Int): Boolean =
+    Dominance.compare(prefs, a.attrs, 0, of.attrs, i * of.d, counter) == Dominance.Dominates
+
   /** Is `o` dominated by any current member? (No mutation.) */
-  def dominatesNew(o: Obj): Boolean = members.values.exists(dominates(_, o))
+  def dominatesNew(o: Obj): Boolean = {
+    var i = 0
+    while (i < n) {
+      if (Dominance.compare(prefs, attrs, i * d, o.attrs, 0, counter) == Dominance.Dominates) return true
+      i += 1
+    }
+    false
+  }
 
   /** Insert without checks (caller already established Pareto-optimality). */
-  def insert(o: Obj): Unit = members.put(o.ts, o)
+  def insert(o: Obj): Unit = {
+    if (n == tss.length) {
+      val cap = math.max(8, 2 * n)
+      attrs = java.util.Arrays.copyOf(attrs, cap * d)
+      tss = java.util.Arrays.copyOf(tss, cap)
+      objs = java.util.Arrays.copyOf(objs, cap)
+    }
+    System.arraycopy(o.attrs, 0, attrs, n * d, d)
+    tss(n) = o.ts
+    objs(n) = o
+    n += 1
+  }
 
   /** Remove by timestamp; true if it was a member. */
-  def remove(ts: Long): Boolean = members.remove(ts).isDefined
+  def remove(ts: Long): Boolean = {
+    val i = indexOf(ts)
+    if (i >= 0) removeAt(i)
+    i >= 0
+  }
+
+  /** Remove the member at position `i`. */
+  private[core] def removeAt(i: Int): Unit = {
+    val tail = n - i - 1
+    System.arraycopy(attrs, (i + 1) * d, attrs, i * d, tail * d)
+    System.arraycopy(tss, i + 1, tss, i, tail)
+    System.arraycopy(objs, i + 1, objs, i, tail)
+    n -= 1
+    objs(n) = null
+  }
 
   /** Evict all members dominated by `o` (w.r.t. this frontier's prefs). */
   def evictDominatedBy(o: Obj): Seq[Obj] = {
-    val gone = members.values.filter(dominates(o, _)).toSeq
-    gone.foreach(m => members.remove(m.ts))
-    gone
+    var gone = List.empty[Obj]
+    var i = 0
+    while (i < n) {
+      if (dominates(o, this, i)) gone ::= objs(i)
+      i += 1
+    }
+    if (gone.isEmpty) Nil
+    else { val removed = gone.reverse; drop(removed); removed }
   }
+
+  /** Remove `gone`, members listed in insertion order, in one compacting pass. */
+  private def drop(gone: List[Obj]): Unit = {
+    var rest = gone
+    var kept = 0
+    var i = 0
+    while (i < n) {
+      if (rest.nonEmpty && (objs(i) eq rest.head)) rest = rest.tail
+      else {
+        if (kept < i) {
+          System.arraycopy(attrs, i * d, attrs, kept * d, d)
+          tss(kept) = tss(i)
+          objs(kept) = objs(i)
+        }
+        kept += 1
+      }
+      i += 1
+    }
+    java.util.Arrays.fill(objs.asInstanceOf[Array[AnyRef]], kept, n, null)
+    n = kept
+  }
+}
+
+object Frontier {
+  private val NoInts = new Array[Int](0)
+  private val NoLongs = new Array[Long](0)
+  private val NoObjs = new Array[Obj](0)
 }
 
 /** From-scratch golden model used by tests: the Pareto frontier of a plain

@@ -6,35 +6,42 @@ import scala.collection.mutable
 /** A strict partial order over an integer-encoded attribute domain
   * `{0, ..., domainSize-1}` (paper Def. 1).
   *
-  * Stored as its transitive closure: `worse(x)` is the set of values `y`
-  * with `x ≻ y`. The closure form makes dominance checks O(1) and makes
-  * intersection of relations (Def. 5 common preference relation) a plain
-  * per-value set intersection — the intersection of two transitively
-  * closed relations is transitively closed.
+  * Stored as its transitive closure in flat rows of `words` 64-bit words per
+  * value: bit `y` of row `x` means `x ≻ y`. The closure form makes a
+  * dominance test one word read and makes intersection of relations (Def. 5
+  * common preference relation) a word-wise AND — the intersection of two
+  * transitively closed relations is transitively closed.
   */
-final class PrefRelation private (val domainSize: Int, val worse: Array[BitSet])
+final class PrefRelation private (val domainSize: Int, private val rows: Array[Long])
     extends Serializable {
 
-  /** `x ≻ y`? */
-  def prefers(x: Int, y: Int): Boolean = worse(x)(y)
+  /** Words per row. */
+  private val words: Int = PrefRelation.wordsFor(domainSize)
+
+  /** `x ≻ y`? Both must lie in the domain: a larger `y` reads another row. */
+  def prefers(x: Int, y: Int): Boolean = (rows(x * words + (y >>> 6)) & (1L << y)) != 0
+
+  /** `worse(x)`: the values `y` with `x ≻ y`, as a set (a copy of the row). */
+  def worse(x: Int): BitSet = BitSet.fromBitMaskNoCopy(rows.slice(x * words, (x + 1) * words))
 
   /** All preference tuples `(better, worse)` in the closure. */
   def tuples: Seq[(Int, Int)] =
     for (x <- 0 until domainSize; y <- worse(x)) yield (x, y)
 
   /** Number of preference tuples `|≻|`. */
-  lazy val size: Int = worse.iterator.map(_.size).sum
+  lazy val size: Int = rows.iterator.map(java.lang.Long.bitCount).sum
 
   /** Common preference relation with `other` (Def. 5): `≻_this ∩ ≻_other`. */
   def intersect(other: PrefRelation): PrefRelation = {
     require(other.domainSize == domainSize, "domain mismatch")
-    new PrefRelation(domainSize, Array.tabulate(domainSize)(x => worse(x) & other.worse(x)))
+    new PrefRelation(domainSize, Array.tabulate(rows.length)(i => rows(i) & other.rows(i)))
   }
 
   /** Maximal values (Def. 6): values no other value is preferred to. */
   lazy val maximalValues: BitSet = {
-    val dominated = worse.foldLeft(BitSet.empty)(_ | _)
-    BitSet.fromSpecific((0 until domainSize).filterNot(dominated))
+    val dominated = new Array[Long](words)
+    for (i <- rows.indices) dominated(i % words) |= rows(i)
+    BitSet.fromSpecific((0 until domainSize).filter(v => (dominated(v >>> 6) & (1L << v)) == 0))
   }
 
   /** Hasse-diagram (transitive reduction) successors: `x → y` iff `x ≻ y`
@@ -43,7 +50,9 @@ final class PrefRelation private (val domainSize: Int, val worse: Array[BitSet])
     */
   lazy val hasseSuccessors: Array[BitSet] =
     Array.tabulate(domainSize) { x =>
-      worse(x).filterNot(y => worse(x).exists(z => z != y && worse(z)(y)))
+      val implied = new Array[Long](words)
+      worse(x).foreach(z => for (w <- 0 until words) implied(w) |= rows(z * words + w))
+      BitSet.fromBitMaskNoCopy(Array.tabulate(words)(w => rows(x * words + w) & ~implied(w)))
     }
 
   /** Min shortest Hasse distance from any maximal value to `v`;
@@ -69,50 +78,57 @@ final class PrefRelation private (val domainSize: Int, val worse: Array[BitSet])
   }
 
   /** Would adding tuple `(x, y)` keep this a strict partial order?
-    * Violations: reflexivity (`x == y`) or a cycle (`y ≻* x` already).
+    * Violations: a value outside the domain, reflexivity (`x == y`) or a
+    * cycle (`y ≻* x` already).
     */
-  def canAdd(x: Int, y: Int): Boolean = x != y && !worse(y)(x) && x < domainSize && y < domainSize
+  def canAdd(x: Int, y: Int): Boolean =
+    x >= 0 && x < domainSize && y >= 0 && y < domainSize && x != y && !prefers(y, x)
 
   /** Closure of `this ∪ {(x, y)}`; caller must ensure [[canAdd]]. */
   def add(x: Int, y: Int): PrefRelation = {
     require(canAdd(x, y), s"adding ($x,$y) breaks the strict partial order")
     // New pairs: (a, b) for a ∈ {x} ∪ worse⁻¹(x), b ∈ {y} ∪ worse(y).
-    val ups = BitSet.fromSpecific((0 until domainSize).filter(a => worse(a)(x))) + x
-    val downs = worse(y) + y
-    val next = worse.clone()
-    ups.foreach(a => next(a) = next(a) | downs)
+    val next = rows.clone()
+    for (a <- 0 until domainSize if a == x || prefers(a, x)) {
+      for (w <- 0 until words) next(a * words + w) |= rows(y * words + w)
+      next(a * words + (y >>> 6)) |= 1L << y
+    }
     new PrefRelation(domainSize, next)
   }
 
   override def equals(o: Any): Boolean = o match {
-    case p: PrefRelation => p.domainSize == domainSize && p.worse.sameElements(worse)
+    case p: PrefRelation => p.domainSize == domainSize && java.util.Arrays.equals(p.rows, rows)
     case _               => false
   }
-  override def hashCode: Int = worse.toSeq.hashCode
+  override def hashCode: Int = java.util.Arrays.hashCode(rows)
   override def toString: String = s"PrefRelation($domainSize, ${tuples.mkString(", ")})"
 }
 
 object PrefRelation {
 
+  private def wordsFor(domainSize: Int): Int = (domainSize + 63) >>> 6
+
   /** The empty relation (no preferences — everything incomparable). */
   def empty(domainSize: Int): PrefRelation =
-    new PrefRelation(domainSize, Array.fill(domainSize)(BitSet.empty))
+    new PrefRelation(domainSize, new Array[Long](domainSize * wordsFor(domainSize)))
 
   /** Build from arbitrary edges, taking the transitive closure.
     * Throws if the closure is not a strict partial order (a cycle exists).
     */
   def fromEdges(domainSize: Int, edges: Iterable[(Int, Int)]): PrefRelation = {
-    val adj = Array.fill(domainSize)(BitSet.empty)
+    val words = wordsFor(domainSize)
+    val adj = new Array[Long](domainSize * words)
+    def has(x: Int, y: Int) = (adj(x * words + (y >>> 6)) & (1L << y)) != 0
     edges.foreach { case (x, y) =>
       require(x != y, s"reflexive tuple ($x,$y)")
       require(x >= 0 && x < domainSize && y >= 0 && y < domainSize, s"value out of domain: ($x,$y)")
-      adj(x) = adj(x) + y
+      adj(x * words + (y >>> 6)) |= 1L << y
     }
-    // Warshall over BitSets.
-    for (k <- 0 until domainSize; x <- 0 until domainSize)
-      if (adj(x)(k)) adj(x) = adj(x) | adj(k)
+    // Warshall, one word-wise OR of row k into row x per pair.
+    for (k <- 0 until domainSize; x <- 0 until domainSize if has(x, k); w <- 0 until words)
+      adj(x * words + w) |= adj(k * words + w)
     for (x <- 0 until domainSize)
-      require(!adj(x)(x), s"cycle through value $x — not a strict partial order")
+      require(!has(x, x), s"cycle through value $x — not a strict partial order")
     new PrefRelation(domainSize, adj)
   }
 

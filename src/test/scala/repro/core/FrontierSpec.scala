@@ -71,6 +71,35 @@ class FrontierSpec extends AnyFunSuite {
       }
     }
 
+  for (seed <- 0 until 6)
+    test(s"incremental frontier equals from-scratch frontier on multi-word domains (seed=$seed)") {
+      val rng = new Random(300 + seed)
+      val domains = Seq(65 + rng.nextInt(66), 65 + rng.nextInt(66))
+      val prefs = domains.map(m => randomRelation(rng, m, 0.05)).toArray
+      val objs = randomObjects(rng, 150, domains)
+      val f = mkFrontier(prefs)
+      objs.foreach(f.update)
+      assert(f.ids == BruteForce.frontier(prefs, objs))
+    }
+
+  test("objects keep insertion order through removals from the middle and later inserts") {
+    // 0 ≻ 1 only: values other than 0 and 1 are pairwise incomparable.
+    val f = mkFrontier(Array(PrefRelation.fromEdges(8, Seq((0, 1)))))
+    Seq(Obj(1, Array(2)), Obj(2, Array(1)), Obj(3, Array(3)), Obj(4, Array(4))).foreach(f.update)
+    assert(f.update(Obj(5, Array(0))).removed.map(_.ts) == Seq(2L)) // evicts a middle member
+    assert(f.objects.map(_.ts) == Seq(1L, 3L, 4L, 5L))
+    assert(f.remove(3) && !f.remove(3))
+    f.update(Obj(6, Array(5)))
+    f.insert(Obj(7, Array(6)))
+    assert(f.objects.map(_.ts) == Seq(1L, 4L, 5L, 6L, 7L))
+    assert(f.objects.map(_.attrs.head) == Seq(2, 4, 0, 5, 6))
+    // The scan visits members in that order: an arrival identical to the
+    // third member stops after three comparisons.
+    val before = f.counter.comparisons
+    f.update(Obj(8, Array(0)))
+    assert(f.counter.comparisons - before == 3)
+  }
+
   test("dominatesNew does not mutate the frontier") {
     val f = mkFrontier(Array(cpuC1))
     f.update(Obj(1, Array(Dual)))

@@ -110,6 +110,26 @@ class FtvSpec extends AnyFunSuite {
     }
   }
 
+  test("an arrival outside the attribute domains is rejected on entry, even as the first") {
+    // With no member to compare against, a first arrival reads no closure
+    // row; a later comparison would read another value's bits or fail.
+    val user = UserPrefs(0, Array(cpuC1, tableIvU1)) // domains 4 and 4
+    val cluster = Cluster(0, user.rels, Seq(user))
+    val bad = Seq(Obj(1, Array(Dual, 4)) -> "value 4 of attribute 1 is outside its domain 0 until 4",
+                  Obj(1, Array(-1, A)) -> "value -1 of attribute 0 is outside its domain 0 until 4",
+                  Obj(1, Array(Dual)) -> "object 1 has 1 attributes, the preferences 2")
+    for ((o, msg) <- bad; window <- Seq(None, Some(2))) {
+      val states = Seq(new Baseline.State(Seq(user), new OpCounter, window.isDefined),
+                       new FilterThenVerify.ClusterState(cluster, new OpCounter, window.isDefined))
+      for (st <- states) {
+        val e = intercept[IllegalArgumentException](st.onArrival(o))
+        assert(e.getMessage.contains(msg))
+        assert(st.frontierIds.values.forall(_.isEmpty))
+      }
+      intercept[IllegalArgumentException](Baseline.run(Seq(user), Seq(o, Obj(2, Array(Dual, A))), window))
+    }
+  }
+
   // ------------------------------------------------------- approximate FTV
 
   for (seed <- 0 until 8)

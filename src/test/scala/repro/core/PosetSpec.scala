@@ -111,6 +111,65 @@ class PosetSpec extends AnyFunSuite {
     assert(r.canAdd(0, 2) == true)  // already implied, still a valid SPO
   }
 
+  test("canAdd is false for values outside the domain, and add then fails its require") {
+    val r = PrefRelation.fromEdges(5, Seq((0, 1)))
+    for ((x, y) <- Seq((0, 10), (10, 0), (-1, 2), (2, -1), (5, 4))) {
+      assert(!r.canAdd(x, y), s"($x,$y)")
+      val e = intercept[IllegalArgumentException](r.add(x, y))
+      assert(e.getMessage.contains(s"adding ($x,$y) breaks the strict partial order"))
+    }
+  }
+
+  /** Random edges over a random topological order of `m` values, and their
+    * closure computed as plain reachability sets.
+    */
+  private def edgesAndReach(rng: Random, m: Int, p: Double): (Seq[(Int, Int)], Map[Int, Set[Int]]) = {
+    val perm = rng.shuffle((0 until m).toVector)
+    val edges = for (i <- 0 until m; j <- i + 1 until m if rng.nextDouble() < p) yield (perm(i), perm(j))
+    val succ = edges.groupMap(_._1)(_._2).withDefaultValue(Seq.empty)
+    def reach(x: Int): Set[Int] = {
+      val seen = scala.collection.mutable.Set.empty[Int]
+      var todo = succ(x).toList
+      while (todo.nonEmpty) {
+        val y = todo.head; todo = todo.tail
+        if (seen.add(y)) todo = succ(y).toList ++ todo
+      }
+      seen.toSet
+    }
+    (edges, (0 until m).map(x => x -> reach(x)).toMap)
+  }
+
+  // Domains above 64 values take several words per closure row.
+  for (seed <- 0 until 6)
+    test(s"multi-word rows: prefers, size, tuples and add match the edge closure (seed=$seed)") {
+      val rng = new Random(3000 + seed)
+      val m = 65 + rng.nextInt(66)
+      val (edges, reach) = edgesAndReach(rng, m, 0.03)
+      val r = PrefRelation.fromEdges(m, edges)
+      for (x <- 0 until m; y <- 0 until m) assert(r.prefers(x, y) == reach(x)(y), s"($x,$y)")
+      assert(r.size == reach.values.map(_.size).sum)
+      assert(r.tuples.toSet == reach.toSeq.flatMap { case (x, ys) => ys.map(x -> _) }.toSet)
+      assert(r.maximalValues.toSet == (0 until m).filterNot(v => reach.values.exists(_(v))).toSet)
+      assert(PrefRelation.fromEdges(m, (0 until m).flatMap(x => r.hasseSuccessors(x).map(x -> _))) == r)
+      for (_ <- 0 until 20) {
+        val x = rng.nextInt(m); val y = rng.nextInt(m)
+        if (r.canAdd(x, y)) assert(r.add(x, y) == PrefRelation.fromEdges(m, edges :+ (x -> y)))
+        else assert(x == y || reach(y)(x))
+      }
+    }
+
+  for (seed <- 0 until 6)
+    test(s"multi-word rows: intersect and size match the intersected closures (seed=$seed)") {
+      val rng = new Random(4000 + seed)
+      val m = 65 + rng.nextInt(66)
+      val (ea, ra) = edgesAndReach(rng, m, 0.03)
+      val (eb, rb) = edgesAndReach(rng, m, 0.03)
+      val i = PrefRelation.fromEdges(m, ea).intersect(PrefRelation.fromEdges(m, eb))
+      for (x <- 0 until m; y <- 0 until m) assert(i.prefers(x, y) == (ra(x)(y) && rb(x)(y)), s"($x,$y)")
+      assert(i.size == (0 until m).map(x => (ra(x) & rb(x)).size).sum)
+      assert(PrefRelation.isStrictPartialOrder(m, i.tuples))
+    }
+
   for (seed <- 0 until 10)
     test(s"closure is idempotent and transitive (seed=$seed)") {
       val rng = new Random(seed)
