@@ -38,15 +38,13 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
   }
 
   /** Maximal values (Def. 6): values no other value is preferred to. */
-  lazy val maximalValues: BitSet = {
-    val dominated = new Array[Long](words)
-    for (i <- rows.indices) dominated(i % words) |= rows(i)
-    BitSet.fromSpecific((0 until domainSize).filter(v => (dominated(v >>> 6) & (1L << v)) == 0))
-  }
+  lazy val maximalValues: BitSet =
+    BitSet.fromSpecific((0 until domainSize).filterNot(v => (0 until domainSize).exists(prefers(_, v))))
 
   /** Hasse-diagram (transitive reduction) successors: `x → y` iff `x ≻ y`
     * and no `z` with `x ≻ z ≻ y`. Distances in the paper (Eq. 4, Ex. 8)
-    * are shortest paths in the Hasse diagram, not the closure.
+    * are shortest paths in the Hasse diagram, not the closure. Row `x`
+    * minus the rows of the values below `x`.
     */
   lazy val hasseSuccessors: Array[BitSet] =
     Array.tabulate(domainSize) { x =>
