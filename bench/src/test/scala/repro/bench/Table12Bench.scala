@@ -10,7 +10,7 @@ import repro.exp.Experiments
   * The append-only table sums final frontiers; a sliding window has no
   * final state, so efficacy is accumulated over periodic window snapshots
   * (20 checkpoints per run). Paper scale n = 1,000,000 / 1,000 users; ours
-  * n = 8,000 / 100 users by default (REPRO_BENCH_SW_N / _SW_USERS to
+  * n = 8,000 / 200 users by default (REPRO_BENCH_SW_N / _SW_USERS to
   * override). Paper numbers are recorded in EXPERIMENTS.md.
   */
 class Table12Bench extends SparkSpec {

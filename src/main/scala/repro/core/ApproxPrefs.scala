@@ -21,15 +21,18 @@ object ApproxPrefs {
   def getApproxPreferenceTuples(rels: Seq[PrefRelation], threshold1: Int,
                                 threshold2: Double,
                                 tieRank: ((Int, Int)) => Long = defaultTieRank): PrefRelation = {
+    require(rels.nonEmpty, "no relations")
     val m = rels.head.domainSize
-    val n = rels.size.toDouble
-    // Frequencies of all ordered value pairs (Table V).
-    val freq: Map[(Int, Int), Double] =
-      rels.flatMap(_.tuples).groupBy(identity).view.mapValues(_.size / n).toMap
+    for ((r, i) <- rels.zipWithIndex)
+      require(r.domainSize == m, s"member $i's relation has domain size ${r.domainSize}, member 0's has $m")
+    // Tuple counts (Table V), entry x * m + y for (x, y).
+    val counts = rels.map(Clustering.tupleVector(_, _ => 1.0)).reduce(Clustering.plus)
     // Sort descending by frequency; the paper leaves equal-frequency order
     // unspecified (Alg. 3 line 3) — a pluggable tie-break keeps runs
     // deterministic and lets tests replay Table V's exact sequence.
-    val sorted = freq.toSeq.sortBy { case (p, f) => (-f, tieRank(p)) }
+    val sorted = counts.indices.filter(counts(_) > 0)
+      .map(i => ((i / m, i % m), counts(i) / rels.size))
+      .sortBy { case (p, f) => (-f, tieRank(p)) }
     var rel = PrefRelation.empty(m)
     var stopped = false
     sorted.foreach { case ((x, y), f) =>
@@ -48,11 +51,13 @@ object ApproxPrefs {
     rel
   }
 
-  /** Approximate relation vector for a cluster's members, per attribute. */
-  def approxRels(members: Seq[UserPrefs], threshold1: Int, threshold2: Double): Array[PrefRelation] = {
-    val d = members.head.rels.length
-    Array.tabulate(d)(i => getApproxPreferenceTuples(members.map(_.rels(i)), threshold1, threshold2))
-  }
+  /** Approximate relation vector for a cluster's members, per attribute;
+    * `threshold1` maps an attribute's domain size to its size cap.
+    */
+  def approxRels(members: Seq[UserPrefs], threshold1: Int => Int, threshold2: Double): Array[PrefRelation] =
+    Array.tabulate(members.head.rels.length) { d =>
+      getApproxPreferenceTuples(members.map(_.rels(d)), threshold1(members.head.rels(d).domainSize), threshold2)
+    }
 }
 
 /** Efficacy metrics (Sec. VIII-A Eq. 7-8): compare per-user approximate

@@ -14,32 +14,37 @@ object Clustering {
     *   - `freq`: Σ over members of tuple indicators (Sec. VI-C vectors);
     *   - `wfreq`: Σ over members of indicator × member's weight of the
     *     better value in the member's own relation (Ex. 14).
-    * Sums (not averages) are kept so merging clusters is additive.
+    * Both are [[tupleVector]]s. Sums (not averages) are kept so merging
+    * clusters is additive.
     */
-  final case class AttrRep(common: PrefRelation,
-                           freq: Map[(Int, Int), Double],
-                           wfreq: Map[(Int, Int), Double])
+  final case class AttrRep(common: PrefRelation, freq: Array[Double], wfreq: Array[Double])
 
   final case class ClusterRep(members: Vector[UserPrefs], attrs: Vector[AttrRep]) {
     def size: Int = members.size
   }
 
+  /** Dense tuple vector of one relation over a domain of size `m`: entry
+    * `x * m + y` is `weight(x)` if `x ≻ y`, else 0. Sums of these are the
+    * Sec. VI-C vectors and Alg. 3's tuple counts (Table V).
+    */
+  def tupleVector(rel: PrefRelation, weight: Int => Double): Array[Double] = {
+    val m = rel.domainSize
+    Array.tabulate(m * m)(i => if (rel.prefers(i / m, i % m)) weight(i / m) else 0.0)
+  }
+
+  /** Elementwise sum of two tuple vectors over the same domain. */
+  def plus(a: Array[Double], b: Array[Double]): Array[Double] =
+    Array.tabulate(a.length)(i => a(i) + b(i))
+
   def singleton(u: UserPrefs): ClusterRep =
-    ClusterRep(Vector(u), u.rels.toVector.map { rel =>
-      val f = rel.tuples.map(t => t -> 1.0).toMap
-      val w = rel.tuples.map { case (x, y) => (x, y) -> rel.weight(x) }.toMap
-      AttrRep(rel, f, w)
-    })
+    ClusterRep(Vector(u), u.rels.toVector.map(rel =>
+      AttrRep(rel, tupleVector(rel, _ => 1.0), tupleVector(rel, rel.weight))))
 
   def merge(a: ClusterRep, b: ClusterRep): ClusterRep =
     ClusterRep(a.members ++ b.members,
       a.attrs.zip(b.attrs).map { case (x, y) =>
-        AttrRep(x.common.intersect(y.common),
-          addMaps(x.freq, y.freq), addMaps(x.wfreq, y.wfreq))
+        AttrRep(x.common.intersect(y.common), plus(x.freq, y.freq), plus(x.wfreq, y.wfreq))
       })
-
-  private def addMaps(a: Map[(Int, Int), Double], b: Map[(Int, Int), Double]) =
-    (a.keySet ++ b.keySet).iterator.map(k => k -> (a.getOrElse(k, 0.0) + b.getOrElse(k, 0.0))).toMap
 
   // ---------------------------------------------------------------- exact
 
@@ -77,16 +82,14 @@ object Clustering {
   // ----------------------------------------------------------- approximate
 
   /** Eq. 6: multiset Jaccard `Σ min / Σ max` over per-member tuple
-    * frequency vectors (Sec. VI-C Ex. 13). `fa`/`fb` are indicator sums;
-    * `na`/`nb` the member counts (vectors are sums / count).
+    * frequency vectors (Sec. VI-C Ex. 13). `fa`/`fb` are sums of
+    * [[tupleVector]]s; `na`/`nb` the member counts (vectors are sums / count).
     */
-  def simVecJaccard(fa: Map[(Int, Int), Double], na: Int,
-                    fb: Map[(Int, Int), Double], nb: Int): Double = {
-    val keys = fa.keySet ++ fb.keySet
+  def simVecJaccard(fa: Array[Double], na: Int, fb: Array[Double], nb: Int): Double = {
     var mins = 0.0; var maxs = 0.0
-    keys.foreach { k =>
-      val x = fa.getOrElse(k, 0.0) / na
-      val y = fb.getOrElse(k, 0.0) / nb
+    for (i <- fa.indices) {
+      val x = fa(i) / na
+      val y = fb(i) / nb
       mins += math.min(x, y); maxs += math.max(x, y)
     }
     if (maxs == 0) 0.0 else mins / maxs
@@ -149,29 +152,42 @@ object Clustering {
   }
 
   /** Build the dendrogram by greedy agglomeration under `measure`.
-    * O(k² · simCost); fine for the ≤ 1,000-user scales of the paper.
+    * Cluster ids are the users' positions, then one new id per merge. Each
+    * merge scans the similarities of all active pairs, O(k²), and computes
+    * the merged cluster's similarities to the rest, O(k · d · m²) for the
+    * vector measures; fine for the ≤ 1,000-user scales of the paper.
+    * Rejects an empty population, and users whose number of attributes or
+    * attribute domain sizes differ from the first user's.
     */
   def dendrogram(users: Seq[UserPrefs], measure: Measure): Dendrogram = {
-    val active = mutable.Map.from(users.zipWithIndex.map { case (u, i) => i -> singleton(u) })
-    val sims = mutable.Map.empty[(Int, Int), Double]
-    def key(i: Int, j: Int) = if (i < j) (i, j) else (j, i)
-    for (i <- active.keys; j <- active.keys if i < j)
-      sims(key(i, j)) = similarity(measure, active(i), active(j))
-    var nextId = users.size
-    val merges = mutable.ArrayBuffer.empty[Merge]
-    while (active.size > 1) {
-      // Deterministic tie-break (highest sim, then lowest ids).
-      val ((i, j), s) = sims.minBy { case ((a, b), v) => (-v, a, b) }
-      val merged = merge(active(i), active(j))
-      merges += Merge(active(i).members.map(_.userId).toSet,
-                      active(j).members.map(_.userId).toSet, s)
-      active.remove(i); active.remove(j)
-      sims.filterInPlace { case ((a, b), _) => a != i && a != j && b != i && b != j }
-      val id = nextId; nextId += 1
-      active.keys.foreach(k => sims(key(k, id)) = similarity(measure, active(k), merged))
-      active(id) = merged
+    require(users.nonEmpty, "no users")
+    val first = users.head
+    def sizes(u: UserPrefs) = u.rels.map(_.domainSize).mkString("(", ", ", ")")
+    for (u <- users; d <- 0 until (u.rels.length max first.rels.length))
+      require(d < u.rels.length && d < first.rels.length && u.rels(d).domainSize == first.rels(d).domainSize,
+        s"user ${u.userId}, attribute $d: domain sizes ${sizes(u)}, user ${first.userId} has ${sizes(first)}")
+    val n = users.size
+    // reps(id) is null once the cluster is merged, which releases its vectors.
+    val reps = new Array[ClusterRep](2 * n - 1)
+    // sims(j)(i), i < j: similarity of clusters i and j.
+    val sims = new Array[Array[Double]](2 * n - 1)
+    def add(id: Int, rep: ClusterRep): Unit = {
+      sims(id) = Array.tabulate(id)(i => if (reps(i) == null) 0.0 else similarity(measure, reps(i), rep))
+      reps(id) = rep
     }
-    Dendrogram(users, merges.toSeq)
+    for ((u, i) <- users.zipWithIndex) add(i, singleton(u))
+    val merges = for (id <- n until 2 * n - 1) yield {
+      // Highest similarity; ties go to the first pair in (lower id, higher id) order.
+      var bi, bj = -1
+      var best = Double.NegativeInfinity
+      for (i <- 0 until id if reps(i) != null; j <- i + 1 until id if reps(j) != null)
+        if (sims(j)(i) > best) { bi = i; bj = j; best = sims(j)(i) }
+      val (a, b) = (reps(bi), reps(bj))
+      reps(bi) = null; reps(bj) = null; sims(bi) = null; sims(bj) = null
+      add(id, merge(a, b))
+      Merge(a.members.map(_.userId).toSet, b.members.map(_.userId).toSet, best)
+    }
+    Dendrogram(users, merges)
   }
 
   /** Common preference relation vector of a member set (per attribute). */
@@ -180,12 +196,19 @@ object Clustering {
     Array.tabulate(d)(i => PrefRelation.commonOf(members.map(_.rels(i))))
   }
 
-  /** Materialize clusters for a cut: exact common relations as the filter. */
-  def exactClusters(users: Seq[UserPrefs], dendro: Dendrogram, h: Double): Seq[Cluster] = {
+  /** Materialize the clusters of the cut at `h`, in `dendro.cut`'s order,
+    * members sorted by user id, with `rels(members)` as the filter relations.
+    */
+  def clustersAt(users: Seq[UserPrefs], dendro: Dendrogram, h: Double)
+                (rels: Seq[UserPrefs] => Array[PrefRelation]): Seq[Cluster] = {
     val byId = users.map(u => u.userId -> u).toMap
     dendro.cut(h).zipWithIndex.map { case (ids, cid) =>
       val members = ids.toSeq.sorted.map(byId)
-      Cluster(cid, commonRels(members), members)
+      Cluster(cid, rels(members), members)
     }
   }
+
+  /** Clusters of the cut at `h` with the exact common relations as the filter. */
+  def exactClusters(users: Seq[UserPrefs], dendro: Dendrogram, h: Double): Seq[Cluster] =
+    clustersAt(users, dendro, h)(commonRels)
 }

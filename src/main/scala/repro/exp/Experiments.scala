@@ -53,18 +53,8 @@ object Experiments {
     * weighted vector Jaccard) and materialize approx clusters at cut `h`.
     */
   def approxClustersAt(users: Seq[UserPrefs], dendro: Clustering.Dendrogram, h: Double,
-                       threshold2: Double = Threshold2): Seq[Cluster] = {
-    val byId = users.map(u => u.userId -> u).toMap
-    dendro.cut(h).zipWithIndex.map { case (ids, cid) =>
-      val members = ids.toSeq.sorted.map(byId)
-      val rels = Array.tabulate(members.head.rels.length) { d =>
-        ApproxPrefs.getApproxPreferenceTuples(
-          members.map(_.rels(d)),
-          threshold1For(members.head.rels(d).domainSize), threshold2)
-      }
-      Cluster(cid, rels, members)
-    }
-  }
+                       threshold2: Double = Threshold2): Seq[Cluster] =
+    Clustering.clustersAt(users, dendro, h)(ApproxPrefs.approxRels(_, threshold1For, threshold2))
 
   // --------------------------------------------------------------- Table XI
 

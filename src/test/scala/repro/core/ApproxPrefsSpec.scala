@@ -90,9 +90,19 @@ class ApproxPrefsSpec extends AnyFunSuite {
       val users = randomUsers(rng, 5, domains, nGroups = 1)
       val objects = randomObjects(rng, 50, domains)
       val common = Clustering.commonRels(users)
-      val approx = ApproxPrefs.approxRels(users, threshold1 = 20, threshold2 = 0.5)
+      val approx = ApproxPrefs.approxRels(users, threshold1 = _ => 20, threshold2 = 0.5)
       assert(BruteForce.frontier(approx, objects).subsetOf(BruteForce.frontier(common, objects)))
     }
+
+  test("an empty member list is rejected") {
+    intercept[IllegalArgumentException](ApproxPrefs.getApproxPreferenceTuples(Nil, threshold1 = 7, threshold2 = 0.6))
+  }
+
+  test("relations over different domain sizes are rejected, naming the member") {
+    val e = intercept[IllegalArgumentException](ApproxPrefs.getApproxPreferenceTuples(
+      Seq(tableIvC1, PrefRelation.fromEdges(6, Seq((4, 5)))), threshold1 = 7, threshold2 = 0.6))
+    assert(e.getMessage.contains("member 1's relation has domain size 6"))
+  }
 
   test("single-user cluster: approx relation equals the user's own relation") {
     val rel = ApproxPrefs.getApproxPreferenceTuples(Seq(tableIvC1), threshold1 = 100, threshold2 = 0.5)

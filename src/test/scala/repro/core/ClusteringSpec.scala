@@ -50,11 +50,14 @@ class ClusteringSpec extends AnyFunSuite {
 
   // ------------------------------------- approximate measures (Sec. VI-C)
 
+  /** Entry `(x, y)` of a tuple vector over the Table IV domain. */
+  private def entry(v: Array[Double], x: Int, y: Int): Double = v(x * tableIvU1.domainSize + y)
+
   test("Example 13: U1 frequency vector entries") {
-    val f = repU1.attrs.head.freq
-    assert(f((A, L)) == 2.0 && f((A, S)) == 2.0 && f((L, S)) == 2.0)
-    assert(f((T, L)) == 1.0 && f((T, S)) == 2.0)
-    assert(!f.contains((L, A)) && !f.contains((S, A)))
+    val f = entry(repU1.attrs.head.freq, _, _)
+    assert(f(A, L) == 2.0 && f(A, S) == 2.0 && f(L, S) == 2.0)
+    assert(f(T, L) == 1.0 && f(T, S) == 2.0)
+    assert(f(L, A) == 0.0 && f(S, A) == 0.0)
   }
 
   test("Example 13: vector Jaccard sim_j(U1,U3) = 2.5/7 ≈ 0.36") {
@@ -64,9 +67,9 @@ class ClusteringSpec extends AnyFunSuite {
   }
 
   test("Example 14: weighted vector entries — U3 has 1/4 in the (A,T) dimension") {
-    val wf = repU3.attrs.head.wfreq
-    assert(wf((A, T)) / 2 == 0.25) // only c6 contains (A,T); weight of A in c6 is 1/2
-    assert(wf((L, A)) / 2 == 1.0)  // both contain it, L maximal in both
+    val wf = entry(repU3.attrs.head.wfreq, _, _)
+    assert(wf(A, T) / 2 == 0.25) // only c6 contains (A,T); weight of A in c6 is 1/2
+    assert(wf(L, A) / 2 == 1.0)  // both contain it, L maximal in both
   }
 
   test("Example 14: weighted vector Jaccard sim_wj(U1,U3) = 1.25/6.75 ≈ 0.19") {
@@ -150,5 +153,22 @@ class ClusteringSpec extends AnyFunSuite {
     val cs = exactClusters(users, d, h = 0.5)
     assert(cs.size == 1)
     assert(cs.head.filterRels.head == tableIvU1)
+  }
+
+  test("dendrogram rejects a user with fewer attributes, naming the user") {
+    val users = Seq(UserPrefs(0, Array(tableIvC1, tableIvC2)), UserPrefs(7, Array(tableIvC3)))
+    val e = intercept[IllegalArgumentException](dendrogram(users, SimVecWJ))
+    assert(e.getMessage.contains("user 7, attribute 1: domain sizes (4)"))
+  }
+
+  test("dendrogram rejects mismatched domain sizes, naming the user and attribute") {
+    val users = Seq(UserPrefs(0, Array(tableIvC1, tableIvC2)),
+      UserPrefs(5, Array(tableIvC1, PrefRelation.fromEdges(6, Seq((4, 5))))))
+    val e = intercept[IllegalArgumentException](dendrogram(users, SimVecWJ))
+    assert(e.getMessage.contains("user 5, attribute 1: domain sizes (4, 6)"))
+  }
+
+  test("dendrogram rejects an empty population") {
+    intercept[IllegalArgumentException](dendrogram(Nil, SimVecWJ))
   }
 }

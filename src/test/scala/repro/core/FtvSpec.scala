@@ -141,7 +141,7 @@ class FtvSpec extends AnyFunSuite {
       val objects = randomObjects(rng, 60, domains)
       val groups = users.grouped(4).toSeq
       val clusters = groups.zipWithIndex.map { case (members, cid) =>
-        Cluster(cid, ApproxPrefs.approxRels(members, threshold1 = 12, threshold2 = 0.4), members)
+        Cluster(cid, ApproxPrefs.approxRels(members, threshold1 = _ => 12, threshold2 = 0.4), members)
       }
       val approx = FilterThenVerify.run(clusters, objects)
       clusters.foreach { cl =>
@@ -163,7 +163,7 @@ class FtvSpec extends AnyFunSuite {
       val users = randomUsers(rng, 6, domains, nGroups = 1)
       val objects = randomObjects(rng, 50, domains)
       val exactRels = Clustering.commonRels(users)
-      val approxRels = ApproxPrefs.approxRels(users, threshold1 = 15, threshold2 = 0.3)
+      val approxRels = ApproxPrefs.approxRels(users, threshold1 = _ => 15, threshold2 = 0.3)
       val pU = BruteForce.frontier(exactRels, objects)
       val paU = BruteForce.frontier(approxRels, objects)
       assert(paU.subsetOf(pU), s"paU=$paU pU=$pU")
