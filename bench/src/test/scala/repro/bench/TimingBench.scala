@@ -9,11 +9,13 @@ import repro.exp.Experiments
   * FilterThenVerifyApprox, append-only and over a sliding window.
   *
   * The paper reports 1-2 orders of magnitude fewer object comparisons for
-  * the filter-then-verify family at |C| = 1,000 users. The saving factor
-  * scales with |C| / k (users per cluster); at our reduced |C| the
-  * expected factor is correspondingly smaller — we assert the *direction*
-  * (publication always wins; movie wins once n is large enough for the
-  * filter to amortize) and report the raw numbers for EXPERIMENTS.md.
+  * the filter-then-verify family at |C| = 1,000 users. Ours is smaller and
+  * does not track |C| / k (users per cluster): append-only
+  * FilterThenVerifyApprox saves 0.64× (movie) and 1.78× (publication) at
+  * 200 users, 1.57× and 2.17× at 400 (`REPRO_BENCH_USERS=400`), while
+  * |C| / k roughly doubles. So we assert the *direction* only where it
+  * holds at 200 users (publication wins) and report the raw numbers for
+  * EXPERIMENTS.md.
   */
 class TimingBench extends SparkSpec {
 

@@ -3,11 +3,14 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.PrefSim
+import repro.spark.Dissemination
 
 /** Experiment harness shared by the bench suites (`bench/`) and the
   * spark-submit jobs (`jobs/`). Each `tableXX` function reproduces one
   * evaluation-section table and returns printable rows; paper-reported
-  * numbers live next to ours in EXPERIMENTS.md.
+  * numbers live next to ours in EXPERIMENTS.md. Every run goes through
+  * the Spark batch runner (`Dissemination.runBaseline` /
+  * `runFilterThenVerify`).
   *
   * Scale defaults are reduced from the paper's n = 1,000,000 / 1,000 users
   * (see DESIGN.md §3); override with env vars REPRO_BENCH_N,
@@ -56,7 +59,32 @@ object Experiments {
                        threshold2: Double = Threshold2): Seq[Cluster] =
     Clustering.clustersAt(users, dendro, h)(ApproxPrefs.approxRels(_, threshold1For, threshold2))
 
-  // --------------------------------------------------------------- Table XI
+  // ----------------------------------------------------- Tables XI and XII
+
+  /** Efficacy of FilterThenVerifyApprox against the exact per-user
+    * frontiers (Baseline), both run on Spark, for every window in `windows`
+    * and branch cut. Efficacy is accumulated over frontier snapshots. A
+    * sliding window has no single final state, so a windowed run takes 20
+    * periodic snapshots; an append-only run takes one, after the last
+    * arrival, which is its final frontiers.
+    */
+  private def efficacy(spark: SparkSession, n: Int, nUsers: Int,
+                       windows: Seq[Option[Int]]): Seq[EffRow] =
+    datasetConfigs(nUsers).flatMap { cfg =>
+      val users = PrefSim.users(cfg)
+      val objects = PrefSim.objects(cfg, n)
+      val dendro = Clustering.dendrogram(users, Clustering.SimVecWJ)
+      val clustersByH = BranchCuts.map(h => h -> approxClustersAt(users, dendro, h))
+      windows.flatMap { w =>
+        val snapEvery = if (w.isEmpty) n else math.max(1, n / 20)
+        val exact = Dissemination.runBaseline(spark, users, objects, w, snapEvery).snapshots
+        clustersByH.map { case (h, clusters) =>
+          val approx = Dissemination.runFilterThenVerify(spark, clusters, objects, w, snapEvery).snapshots
+          val prf = Metrics.prfOverSnapshots(approx, exact)
+          EffRow(cfg.name, w, h, prf.precision, prf.recall)
+        }
+      }
+    }
 
   /** Table XI: precision / recall / F-measure of FilterThenVerifyApprox
     * against exact per-user Pareto frontiers, varying branch cut h, on the
@@ -65,63 +93,16 @@ object Experiments {
   def table11(spark: SparkSession,
               n: Int = envInt("REPRO_BENCH_N", 20000),
               nUsers: Int = envInt("REPRO_BENCH_USERS", 200)): Seq[EffRow] =
-    datasetConfigs(nUsers).flatMap { cfg =>
-      val users = PrefSim.users(cfg)
-      val objects = PrefSim.objects(cfg, n)
-      val dendro = Clustering.dendrogram(users, Clustering.SimVecWJ)
-      // Ground truth: exact per-user frontiers (Baseline over Spark).
-      val exact = repro.spark.Dissemination.runBaseline(spark, users, objects).frontiers
-      BranchCuts.map { h =>
-        val clusters = approxClustersAt(users, dendro, h)
-        val approx = repro.spark.Dissemination.runFilterThenVerify(spark, clusters, objects).frontiers
-        val prf = Metrics.prf(approx, exact)
-        EffRow(cfg.name, None, h, prf.precision, prf.recall)
-      }
-    }
-
-  // -------------------------------------------------------------- Table XII
-
-  /** Run independent per-entity SW state machines in parallel threads and
-    * merge their periodic snapshots index-wise (user states never interact
-    * in BaselineSW, cluster states never interact in FilterThenVerifySW).
-    */
-  private def parallelSnapshots[A](items: Seq[A], runChunk: Seq[A] => RunResult): Seq[Map[Int, Set[Long]]] = {
-    import scala.concurrent.{Await, ExecutionContext, Future}
-    import scala.concurrent.duration.Duration
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    val cores = Runtime.getRuntime.availableProcessors
-    val chunks = items.grouped(math.max(1, math.ceil(items.size.toDouble / cores).toInt)).toSeq
-    val results = Await.result(Future.sequence(chunks.map(c => Future(runChunk(c)))), Duration.Inf)
-    val nSnaps = results.head.snapshots.size
-    (0 until nSnaps).map(i => results.flatMap(_.snapshots(i)).toMap)
-  }
+    efficacy(spark, n, nUsers, Seq(None))
 
   /** Table XII: efficacy of FilterThenVerifyApproxSW over sliding windows,
-    * varying W and h. Efficacy is accumulated over periodic window
-    * snapshots (the append-only case sums final frontiers; a sliding
-    * window has no single final state, so we sum over checkpoints).
+    * varying W and h.
     */
   def table12(spark: SparkSession,
               n: Int = envInt("REPRO_BENCH_SW_N", 8000),
               nUsers: Int = envInt("REPRO_BENCH_SW_USERS", 200),
               windows: Seq[Int] = Seq(400, 800, 1600, 3200)): Seq[EffRow] =
-    datasetConfigs(nUsers).flatMap { cfg =>
-      val users = PrefSim.users(cfg)
-      val objects = PrefSim.objects(cfg, n)
-      val dendro = Clustering.dendrogram(users, Clustering.SimVecWJ)
-      val clustersByH = BranchCuts.map(h => h -> approxClustersAt(users, dendro, h))
-      val snapEvery = math.max(1, n / 20)
-      windows.flatMap { w =>
-        val exact = parallelSnapshots[UserPrefs](users,
-          chunk => Baseline.run(chunk, objects, Some(w), snapEvery))
-        clustersByH.map { case (h, clusters) =>
-          val approx = parallelSnapshots[Cluster](clusters,
-            chunk => FilterThenVerify.run(chunk, objects, Some(w), snapEvery))
-          val prf = Metrics.prfOverSnapshots(approx, exact)
-          EffRow(cfg.name, Some(w), h, prf.precision, prf.recall)
-        }
-      }
-    }
+    efficacy(spark, n, nUsers, windows.map(Some(_)))
 
   // ------------------------------------------------- Figures 6-13 (shape)
 
@@ -144,9 +125,9 @@ object Experiments {
       val dendro = Clustering.dendrogram(users, Clustering.SimVecWJ)
       val exactClusters = Clustering.exactClusters(users, dendro, h)
       val approxClusters = approxClustersAt(users, dendro, h)
-      val base = repro.spark.Dissemination.runBaseline(spark, users, objects, window)
-      val ftvE = repro.spark.Dissemination.runFilterThenVerify(spark, exactClusters, objects, window)
-      val ftvA = repro.spark.Dissemination.runFilterThenVerify(spark, approxClusters, objects, window)
+      val base = Dissemination.runBaseline(spark, users, objects, window)
+      val ftvE = Dissemination.runFilterThenVerify(spark, exactClusters, objects, window)
+      val ftvA = Dissemination.runFilterThenVerify(spark, approxClusters, objects, window)
       val wTag = window
       Seq(
         PerfRow(cfg.name, if (window.isEmpty) "Baseline" else "BaselineSW", n, d, wTag,

@@ -9,10 +9,11 @@ import scala.reflect.ClassTag
 /** Distributed continuous-dissemination dataflow (repro hint: object stream
   * matched against *clustered user-preference partitions*).
   *
-  * Batch path: clusters (or users, for Baseline) become a Dataset; each
-  * task replays the broadcast object stream through the core state machine
-  * for its partition of clusters — embarrassingly parallel across clusters,
-  * identical results to the local core run.
+  * Batch path: Baseline users or clusters never interact (Sec. IV: each
+  * cluster keeps its own `P_U`, `PB_U` and member frontiers), so one Spark
+  * task per partition of them runs the core run over the broadcast object
+  * stream, and the driver unites the partitions' results: identical to the
+  * local core run, snapshots and comparison counts included.
   *
   * Streaming path: Structured Streaming with `flatMapGroupsWithState`
   * keyed by cluster id. Each incoming micro-batch of objects is replicated
@@ -27,51 +28,43 @@ object Dissemination {
   /** Row form of an emission: object `ts` was disseminated to `userId`. */
   final case class EmitRow(ts: Long, userId: Int)
 
-  /** Internal union row for a single collect of emissions + frontiers
-    * (public: Catalyst's generated code must construct it).
+  /** The batch runner. Each task calls `run` once on its partition of units
+    * and returns the `RunResult` without its empty `C_o`s. The driver unites
+    * `C_o` per timestamp in stream order, the frontiers, and the snapshots
+    * index by index, and sums the comparisons. Summing collected results,
+    * unlike an accumulator updated in a transformation, counts a re-executed
+    * task once.
     */
-  final case class OutRow(kind: Byte, ts: Long, userId: Int)
-  private val EmitKind: Byte = 0
-  private val FrontKind: Byte = 1
-
-  /** The batch body: one task per unit (a Baseline user or a cluster)
-    * replays the broadcast stream through `run`; comparisons add up in an
-    * accumulator, and emissions and final frontiers come back in one collect.
-    */
-  private def runBatch[A: ClassTag](spark: SparkSession, units: Seq[A], allUsers: Seq[Int],
-                                    objects: Seq[Obj])(run: (A, Seq[Obj]) => RunResult): RunResult = {
-    import spark.implicits._
+  private def runBatch[A: ClassTag](spark: SparkSession, units: Seq[A], objects: Seq[Obj])
+                                   (run: (Seq[A], Seq[Obj]) => RunResult): RunResult = {
     val t0 = System.nanoTime()
-    val acc = spark.sparkContext.longAccumulator("comparisons")
-    val objB = spark.sparkContext.broadcast(objects.sortBy(_.ts))
-    implicit val unitEnc: Encoder[A] = Encoders.javaSerialization[A]
-    val rows = spark.createDataset(units).flatMap { u =>
-      val res = run(u, objB.value)
-      acc.add(res.comparisons)
-      res.emissions.iterator.flatMap(e => e.users.iterator.map(uid => OutRow(EmitKind, e.ts, uid))) ++
-        res.frontiers.iterator.flatMap { case (uid, ids) => ids.iterator.map(OutRow(FrontKind, _, uid)) }
+    val sorted = objects.sortBy(_.ts)
+    val objB = spark.sparkContext.broadcast(sorted)
+    val parts = spark.sparkContext.parallelize(units).mapPartitions { us =>
+      val res = run(us.toSeq, objB.value)
+      Iterator.single(res.copy(emissions = res.emissions.filter(_.users.nonEmpty)))
     }.collect().toSeq
-    val emits = rows.filter(_.kind == EmitKind).groupBy(_.ts)
-      .view.mapValues(_.map(_.userId).toSet).toMap
-    val fronts = rows.filter(_.kind == FrontKind).groupBy(_.userId)
-      .view.mapValues(_.map(_.ts).toSet).toMap
-    RunResult(objects.sortBy(_.ts).map(o => Emission(o.ts, emits.getOrElse(o.ts, Set.empty))),
-      allUsers.map(u => u -> fronts.getOrElse(u, Set.empty[Long])).toMap,
-      Nil, acc.value, System.nanoTime() - t0)
+    val emits = parts.flatMap(_.emissions).groupMapReduce(_.ts)(_.users)(_ ++ _)
+    RunResult(sorted.map(o => Emission(o.ts, emits.getOrElse(o.ts, Set.empty))),
+      parts.flatMap(_.frontiers).toMap,
+      parts.map(_.snapshots).transpose.map(_.flatten.toMap),
+      parts.map(_.comparisons).sum, System.nanoTime() - t0)
   }
 
-  /** Baseline over Spark, one task per user; `window = Some(w)` is BaselineSW. */
+  /** Baseline over Spark, users split across tasks; `window = Some(w)` is
+    * BaselineSW. `snapshotEvery` is the core run's.
+    */
   def runBaseline(spark: SparkSession, users: Seq[UserPrefs], objects: Seq[Obj],
-                  window: Option[Int] = None): RunResult =
-    runBatch(spark, users, users.map(_.userId), objects)((u, objs) => Baseline.run(Seq(u), objs, window))
+                  window: Option[Int] = None, snapshotEvery: Int = Int.MaxValue): RunResult =
+    runBatch(spark, users, objects)(Baseline.run(_, _, window, snapshotEvery))
 
-  /** FilterThenVerify over Spark, one task per cluster; `window = Some(w)`
-    * is FilterThenVerifySW.
+  /** FilterThenVerify over Spark, clusters split across tasks;
+    * `window = Some(w)` is FilterThenVerifySW. `snapshotEvery` is the core
+    * run's.
     */
   def runFilterThenVerify(spark: SparkSession, clusters: Seq[Cluster], objects: Seq[Obj],
-                          window: Option[Int] = None): RunResult =
-    runBatch(spark, clusters, clusters.flatMap(_.members.map(_.userId)), objects)(
-      (c, objs) => FilterThenVerify.run(Seq(c), objs, window))
+                          window: Option[Int] = None, snapshotEvery: Int = Int.MaxValue): RunResult =
+    runBatch(spark, clusters, objects)(FilterThenVerify.run(_, _, window, snapshotEvery))
 
   // ------------------------------------------------------------- streaming
 

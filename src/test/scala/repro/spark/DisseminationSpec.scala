@@ -57,6 +57,27 @@ class DisseminationSpec extends SparkSpec {
       assert(distF.comparisons == localF.comparisons)
     }
 
+  test("batch windowed runs over Spark return the local runs' snapshots, with one cluster too") {
+    val (users, objects, clusters) = scenario(40)
+    val (w, every) = (15, 7)
+    val localB = Baseline.run(users, objects, Some(w), every)
+    val distB = Dissemination.runBaseline(spark, users, objects, Some(w), every)
+    assert(localB.snapshots.size == objects.size / every)
+    assert(distB.snapshots == localB.snapshots)
+    assert(distB.frontiers == localB.frontiers)
+    assert(distB.emissions == localB.emissions)
+    assert(distB.comparisons == localB.comparisons)
+    // One cluster leaves all but one partition empty.
+    for (cs <- Seq(clusters, clusters.take(1))) {
+      val localF = FilterThenVerify.run(cs, objects, Some(w), every)
+      val distF = Dissemination.runFilterThenVerify(spark, cs, objects, Some(w), every)
+      assert(distF.snapshots == localF.snapshots)
+      assert(distF.frontiers == localF.frontiers)
+      assert(distF.emissions == localF.emissions)
+      assert(distF.comparisons == localF.comparisons)
+    }
+  }
+
   private def runStreaming(clusters: Seq[Cluster], objects: Seq[Obj],
                            window: Option[Int], batches: Int): Map[Long, Set[Int]] = {
     import spark.implicits._
