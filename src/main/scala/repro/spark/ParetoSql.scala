@@ -6,8 +6,8 @@ import repro.core.{Obj, PrefRelation}
 /** Declarative Pareto frontier: object dominance under strict partial
   * orders expressed as a `NOT EXISTS` anti-join over preference-closure
   * edge tables. The same SQL text runs on Spark (Catalyst) and on DuckDB
-  * via [[repro.Oracle]], giving result-equality checks for the core
-  * algorithms and the distributed dataflow.
+  * via the test oracle `repro.Oracle`, giving result-equality checks for
+  * the core algorithms and the distributed dataflow.
   */
 object ParetoSql {
 
