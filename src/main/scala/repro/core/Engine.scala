@@ -213,9 +213,11 @@ object FilterThenVerifySW {
 /** The one replay loop: `states` see arrivals in strictly increasing
   * timestamp order. With a count-based window of `W` (Sec. VII), the
   * arrival of `o_in` first expires the object `W` arrivals older, so the
-  * window holds timestamps `(in − W, in]`.
+  * window holds timestamps `(in − W, in]`. `W` must be positive: a smaller
+  * one would expire each arrival before it is admitted.
   */
 final class Replay(states: Seq[EngineState], window: Option[Int]) extends Serializable {
+  window.foreach(w => require(w > 0, s"window $w: a count-based window must hold at least one object"))
   private val alive = mutable.Queue.empty[Long]
   private var lastTs = Long.MinValue
 

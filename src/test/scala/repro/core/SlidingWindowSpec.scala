@@ -96,6 +96,17 @@ class SlidingWindowSpec extends AnyFunSuite {
     assert(swRun.emissions.map(e => e.ts -> e.users).toMap == plain.emissions.map(e => e.ts -> e.users).toMap)
   }
 
+  for (w <- Seq(0, -3))
+    test(s"a non-positive window (W=$w) is rejected, not run as append-only") {
+      val rng = new Random(13)
+      val domains = Seq(4, 4)
+      val users = randomUsers(rng, 4, domains)
+      val objects = randomObjects(rng, 20, domains)
+      val clusters = randomExactClusters(rng, users, 2)
+      intercept[IllegalArgumentException](Baseline.run(users, objects, Some(w)))
+      intercept[IllegalArgumentException](FilterThenVerify.run(clusters, objects, Some(w)))
+    }
+
   test("Theorem 5: an object dominated by a later object never re-enters the frontier") {
     // cpuC1: dual ≻ quad; o1=quad arrives, o2=dual dominates it, then o2
     // expires — o1 must NOT come back (it left the buffer for good).
