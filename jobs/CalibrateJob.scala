@@ -22,7 +22,7 @@ object CalibrateJob {
       Experiments.BranchCuts.foreach { h =>
         val cut = dendro.cut(h)
         val sizes = cut.map(_.size).sortBy(-_)
-        val clusters = Experiments.approxClustersAt(users, dendro, h)
+        val clusters = Experiments.approxClustersAt(dendro, h)
         val avgApproxFrac = clusters.map { c =>
           val exact = Clustering.commonRels(c.members)
           c.filterRels.zip(exact).map { case (a, e) => s"${e.size}/${a.size}" }.mkString(" ")
@@ -37,7 +37,7 @@ object CalibrateJob {
       val t2s = sys.env.get("REPRO_CAL_T2").map(_.split(",").map(_.toDouble).toSeq)
         .getOrElse(Seq(Experiments.Threshold2))
       for (t2 <- t2s; h <- Experiments.BranchCuts) {
-        val clusters = Experiments.approxClustersAt(users, dendro, h, t2)
+        val clusters = Experiments.approxClustersAt(dendro, h, t2)
         val approx = FilterThenVerify.run(clusters, objects)
         val prf = Metrics.prf(approx.frontiers, exact.frontiers)
         println(f"t2=$t2%.2f h=$h%.2f  n=$n  precision=${prf.precision * 100}%6.2f  recall=${prf.recall * 100}%6.2f" +

@@ -3,14 +3,14 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.exp.Experiments
 
-/** Shared SparkSession bootstrap for spark-submit entrypoints. */
+/** Shared SparkSession bootstrap for spark-submit entrypoints. The jobs run
+  * only the RDD batch runner, which needs no SQL or shuffle settings.
+  */
 object JobSession {
   def build(name: String): SparkSession =
     SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 }
 

@@ -199,9 +199,9 @@ object Clustering {
   /** Materialize the clusters of the cut at `h`, in `dendro.cut`'s order,
     * members sorted by user id, with `rels(members)` as the filter relations.
     */
-  def clustersAt(users: Seq[UserPrefs], dendro: Dendrogram, h: Double)
+  def clustersAt(dendro: Dendrogram, h: Double)
                 (rels: Seq[UserPrefs] => Array[PrefRelation]): Seq[Cluster] = {
-    val byId = users.map(u => u.userId -> u).toMap
+    val byId = dendro.users.map(u => u.userId -> u).toMap
     dendro.cut(h).zipWithIndex.map { case (ids, cid) =>
       val members = ids.toSeq.sorted.map(byId)
       Cluster(cid, rels(members), members)
@@ -209,6 +209,6 @@ object Clustering {
   }
 
   /** Clusters of the cut at `h` with the exact common relations as the filter. */
-  def exactClusters(users: Seq[UserPrefs], dendro: Dendrogram, h: Double): Seq[Cluster] =
-    clustersAt(users, dendro, h)(commonRels)
+  def exactClusters(dendro: Dendrogram, h: Double): Seq[Cluster] =
+    clustersAt(dendro, h)(commonRels)
 }

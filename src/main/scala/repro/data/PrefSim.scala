@@ -110,13 +110,13 @@ object PrefSim {
       UserPrefs(uid, rels)
     }
 
-  /** Object stream: each attribute value Zipf(alpha)-distributed over its
+  /** Object stream: each attribute value Zipf(1.1)-distributed over its
     * domain (popular actors appear in more movies), timestamps 1..n.
     */
-  def objects(cfg: SimConfig, n: Int, alpha: Double = 1.1, seedOffset: Long = 7): Seq[Obj] = {
+  def objects(cfg: SimConfig, n: Int, seedOffset: Long = 7): Seq[Obj] = {
     val rng = new Random(cfg.seed * 7_368_787L + seedOffset)
     val cdfs = cfg.attrs.map { attr =>
-      val w = (1 to attr.domainSize).map(k => 1.0 / math.pow(k, alpha))
+      val w = (1 to attr.domainSize).map(k => 1.0 / math.pow(k, 1.1))
       val total = w.sum
       w.scanLeft(0.0)(_ + _).tail.map(_ / total).toArray
     }

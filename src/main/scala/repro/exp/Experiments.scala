@@ -55,9 +55,9 @@ object Experiments {
   /** Cluster users with the approximate-similarity dendrogram (Sec. VI-C
     * weighted vector Jaccard) and materialize approx clusters at cut `h`.
     */
-  def approxClustersAt(users: Seq[UserPrefs], dendro: Clustering.Dendrogram, h: Double,
+  def approxClustersAt(dendro: Clustering.Dendrogram, h: Double,
                        threshold2: Double = Threshold2): Seq[Cluster] =
-    Clustering.clustersAt(users, dendro, h)(ApproxPrefs.approxRels(_, threshold1For, threshold2))
+    Clustering.clustersAt(dendro, h)(ApproxPrefs.approxRels(_, threshold1For, threshold2))
 
   // ----------------------------------------------------- Tables XI and XII
 
@@ -74,7 +74,7 @@ object Experiments {
       val users = PrefSim.users(cfg)
       val objects = PrefSim.objects(cfg, n)
       val dendro = Clustering.dendrogram(users, Clustering.SimVecWJ)
-      val clustersByH = BranchCuts.map(h => h -> approxClustersAt(users, dendro, h))
+      val clustersByH = BranchCuts.map(h => h -> approxClustersAt(dendro, h))
       windows.flatMap { w =>
         val snapEvery = if (w.isEmpty) n else math.max(1, n / 20)
         val exact = Dissemination.runBaseline(spark, users, objects, w, snapEvery).snapshots
@@ -96,25 +96,26 @@ object Experiments {
     efficacy(spark, n, nUsers, Seq(None))
 
   /** Table XII: efficacy of FilterThenVerifyApproxSW over sliding windows,
-    * varying W and h.
+    * varying h and W over the paper's window sizes 400, 800, 1,600, 3,200.
     */
   def table12(spark: SparkSession,
               n: Int = envInt("REPRO_BENCH_SW_N", 8000),
-              nUsers: Int = envInt("REPRO_BENCH_SW_USERS", 200),
-              windows: Seq[Int] = Seq(400, 800, 1600, 3200)): Seq[EffRow] =
-    efficacy(spark, n, nUsers, windows.map(Some(_)))
+              nUsers: Int = envInt("REPRO_BENCH_SW_USERS", 200)): Seq[EffRow] =
+    efficacy(spark, n, nUsers, Seq(400, 800, 1600, 3200).map(Some(_)))
 
   // ------------------------------------------------- Figures 6-13 (shape)
 
+  /** Branch cut of the timing comparison's clusters. */
+  val TimingCut = 0.55
+
   /** Execution-time / work-done comparison backing Figs. 6-13: Baseline vs
-    * FilterThenVerifyExact vs FilterThenVerifyApprox (append-only and SW).
-    * Reported to confirm the paper's shape: FTV does 1-2 orders of
-    * magnitude fewer object comparisons than Baseline.
+    * FilterThenVerifyExact vs FilterThenVerifyApprox (append-only and SW),
+    * clustered at [[TimingCut]]. Reported to confirm the paper's shape: FTV
+    * does 1-2 orders of magnitude fewer object comparisons than Baseline.
     */
   def timing(spark: SparkSession,
              n: Int = envInt("REPRO_BENCH_N", 20000),
              nUsers: Int = envInt("REPRO_BENCH_USERS", 200),
-             h: Double = 0.55,
              window: Option[Int] = None): Seq[PerfRow] =
     datasetConfigs(nUsers).flatMap { cfg =>
       val users = PrefSim.users(cfg)
@@ -123,8 +124,8 @@ object Experiments {
       // One dendrogram; exact and approx filters share cluster memberships
       // so the comparison isolates the filter relation (common vs approx).
       val dendro = Clustering.dendrogram(users, Clustering.SimVecWJ)
-      val exactClusters = Clustering.exactClusters(users, dendro, h)
-      val approxClusters = approxClustersAt(users, dendro, h)
+      val exactClusters = Clustering.exactClusters(dendro, TimingCut)
+      val approxClusters = approxClustersAt(dendro, TimingCut)
       val base = Dissemination.runBaseline(spark, users, objects, window)
       val ftvE = Dissemination.runFilterThenVerify(spark, exactClusters, objects, window)
       val ftvA = Dissemination.runFilterThenVerify(spark, approxClusters, objects, window)

@@ -150,7 +150,7 @@ class ClusteringSpec extends AnyFunSuite {
   test("exactClusters materializes the common relation per cluster") {
     val users = Seq(tableIvC1, tableIvC2).zipWithIndex.map { case (r, i) => UserPrefs(i, Array(r)) }
     val d = dendrogram(users, SimWJ)
-    val cs = exactClusters(users, d, h = 0.5)
+    val cs = exactClusters(d, h = 0.5)
     assert(cs.size == 1)
     assert(cs.head.filterRels.head == tableIvU1)
   }

@@ -54,8 +54,8 @@ class EngineGoldenSpec extends AnyFunSuite {
     val users: Seq[UserPrefs] = PrefSim.users(cfg).filter(u => Set(0, 2)(u.userId % cfg.nGroups))
     val objects: Seq[Obj] = PrefSim.objects(cfg, N)
     val dendro: Clustering.Dendrogram = Clustering.dendrogram(users, Clustering.SimVecWJ)
-    val approx: Seq[Cluster] = Experiments.approxClustersAt(users, dendro, H)
-    val exact: Seq[Cluster] = Clustering.exactClusters(users, dendro, H)
+    val approx: Seq[Cluster] = Experiments.approxClustersAt(dendro, H)
+    val exact: Seq[Cluster] = Clustering.exactClusters(dendro, H)
 
     private def outcome(window: Option[Int], clusters: Option[Seq[Cluster]]): Outcome = {
       val every = window.fold(Int.MaxValue)(_ => SnapshotEvery)
