@@ -42,25 +42,28 @@ object Dominance {
   /** The same comparison of the attribute slices `a(aOff until aOff + d)`
     * and `b(bOff until bOff + d)`, `d = prefs.length`, so that a frontier
     * can compare against its flat attribute column in place.
+    *
+    * Each attribute contributes its [[PrefRelation.outcomes]] code: bit 0
+    * for "`a` better", bit 1 for "`b` better", both for incomparable values.
+    * The OR of all codes is Def. 2: no bit means identical, one bit means
+    * that side dominates, and both bits — an incomparable attribute, or
+    * `a` better on one attribute and `b` on another — mean neither does.
+    * Every attribute is read, with no branch on the values, so the cost of
+    * a test does not depend on how it comes out.
     */
   def compare(prefs: Array[PrefRelation], a: Array[Int], aOff: Int, b: Array[Int], bOff: Int,
               counter: OpCounter): Int = {
     counter.comparisons += 1
-    var aBetter = false; var bBetter = false
+    var acc = 0
     var d = 0
     while (d < prefs.length) {
-      val x = a(aOff + d); val y = b(bOff + d)
-      if (x != y) {
-        val r = prefs(d)
-        if (r.prefers(x, y)) aBetter = true
-        else if (r.prefers(y, x)) bBetter = true
-        else return Incomparable // incomparable attribute values ⇒ no dominance
-      }
+      val r = prefs(d)
+      acc |= r.outcomes(a(aOff + d) * r.domainSize + b(bOff + d))
       d += 1
     }
-    if (aBetter && bBetter) Incomparable
-    else if (aBetter) Dominates
-    else if (bBetter) DominatedBy
-    else Identical
+    ByCode(acc)
   }
+
+  /** The four-way answer for each OR of outcome codes. */
+  private val ByCode = Array(Identical, Dominates, DominatedBy, Incomparable)
 }

@@ -93,8 +93,8 @@ sealed abstract class EngineState extends Serializable {
   def frontierIds: Map[Int, Set[Long]] = userFrontiers.map { case (u, f) => u -> f.ids }
 
   /** Rejects an arrival without one value per attribute of `rels`, each
-    * inside that attribute's domain: a closure row would answer a value
-    * outside it with another value's bits.
+    * inside that attribute's domain: the kernel's outcome table would
+    * answer a value outside it with another value's entry.
     */
   protected final def requireFits(o: Obj, rels: Array[PrefRelation]): Unit = {
     require(o.attrs.length == rels.length,

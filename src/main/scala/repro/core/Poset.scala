@@ -7,10 +7,12 @@ import scala.collection.mutable
   * `{0, ..., domainSize-1}` (paper Def. 1).
   *
   * Stored as its transitive closure in flat rows of `words` 64-bit words per
-  * value: bit `y` of row `x` means `x ≻ y`. The closure form makes a
-  * dominance test one word read and makes intersection of relations (Def. 5
-  * common preference relation) a word-wise AND — the intersection of two
-  * transitively closed relations is transitively closed.
+  * value: bit `y` of row `x` means `x ≻ y`. The closure rows are the
+  * definition: [[prefers]] reads them, and intersection of relations (Def. 5
+  * common preference relation) is a word-wise AND of them — the
+  * intersection of two transitively closed relations is transitively
+  * closed. The dominance kernel reads [[outcomes]], a table derived from
+  * the rows.
   */
 final class PrefRelation private (val domainSize: Int, private val rows: Array[Long])
     extends Serializable {
@@ -20,6 +22,21 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
 
   /** `x ≻ y`? Both must lie in the domain: a larger `y` reads another row. */
   def prefers(x: Int, y: Int): Boolean = (rows(x * words + (y >>> 6)) & (1L << y)) != 0
+
+  /** The outcome table the dominance kernel reads: `domainSize²` bytes,
+    * entry `x * domainSize + y` is 0 if `x == y`, 1 if `x ≻ y`, 2 if
+    * `y ≻ x` and 3 if the two are incomparable. OR-ing the entries of all
+    * attributes gives Def. 2's answer (see [[Dominance.compare]]). Built on
+    * first use, so relations that are only intermediate steps (Alg. 3's
+    * `add` chain) never pay for one, and transient, so Spark's serialised
+    * state and broadcasts do not carry it.
+    */
+  @transient private[core] lazy val outcomes: Array[Byte] = {
+    val table = new Array[Byte](domainSize * domainSize)
+    for (x <- 0 until domainSize; y <- 0 until domainSize if x != y)
+      table(x * domainSize + y) = (if (prefers(x, y)) 1 else if (prefers(y, x)) 2 else 3).toByte
+    table
+  }
 
   /** `worse(x)`: the values `y` with `x ≻ y`, as a set (a copy of the row). */
   def worse(x: Int): BitSet = BitSet.fromBitMaskNoCopy(rows.slice(x * words, (x + 1) * words))

@@ -199,6 +199,36 @@ class PosetSpec extends AnyFunSuite {
       for (x <- 0 until 10; y <- r.hasseSuccessors(x)) assert(r.weight(y) <= 0.5)
     }
 
+  /** Entry `(x, y)` of the outcome table, read from the closure rows. */
+  private def outcomeFromRows(r: PrefRelation, x: Int, y: Int): Int =
+    if (x == y) 0 else if (r.prefers(x, y)) 1 else if (r.prefers(y, x)) 2 else 3
+
+  private def assertOutcomesMatchRows(r: PrefRelation, what: String): Unit = {
+    val m = r.domainSize
+    assert(r.outcomes.length == m * m, what)
+    for (x <- 0 until m; y <- 0 until m)
+      assert(r.outcomes(x * m + y) == outcomeFromRows(r, x, y), s"$what: entry ($x,$y)")
+  }
+
+  for (seed <- 0 until 6)
+    test(s"outcome table equals prefers both ways on random orders, one- and multi-word (seed=$seed)") {
+      val rng = new Random(5000 + seed)
+      for (m <- Seq(1, 2, 5, 63, 64, 65, 130)) {
+        val a = randomRelation(rng, m, p = 0.02 + 0.3 * rng.nextDouble())
+        val b = perturbedRelation(rng, a, addTries = 10)
+        assertOutcomesMatchRows(a, s"random m=$m")
+        assertOutcomesMatchRows(b, s"perturbed (add) m=$m")
+        assertOutcomesMatchRows(a.intersect(randomRelation(rng, m)), s"intersect m=$m")
+        assertOutcomesMatchRows(PrefRelation.empty(m), s"empty m=$m")
+      }
+    }
+
+  for (cfg <- prefSimConfigs)
+    test(s"outcome table equals prefers both ways on PrefSim, common and Alg. 3 relations (${cfg.name})") {
+      for ((what, rels) <- prefSimRelations(cfg); (r, d) <- rels.zipWithIndex)
+        assertOutcomesMatchRows(r, s"$what, attribute $d")
+    }
+
   test("commonOf reduces over many relations") {
     val common = PrefRelation.commonOf(Seq(tableIvC1, tableIvC2, tableIvC5))
     // c5 has none of U1's tuples except (A,S)? c5={(L,A),(L,T),(A,S),(T,S),(L,S)}

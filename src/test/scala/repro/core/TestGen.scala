@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.data.PrefSim
+import repro.exp.Experiments
 import scala.util.Random
 
 /** Seeded random generators and paper fixtures shared by the test suites. */
@@ -58,6 +60,31 @@ object TestGen {
       val members = pairs.map(_._1)
       Cluster(cid, Clustering.commonRels(members), members)
     }
+  }
+
+  /** PrefSim populations for kernel checks at generator scale: movie,
+    * publication, and a movie-like one whose 130- and 70-value domains take
+    * several closure words per row. Three users per latent group.
+    */
+  val prefSimConfigs: Seq[PrefSim.SimConfig] = {
+    val movie = PrefSim.movieConfig(nUsers = 36)
+    Seq(movie, PrefSim.publicationConfig(nUsers = 30),
+      movie.copy(name = "wide", attrs = Vector(PrefSim.AttrConfig("actor", 130),
+        PrefSim.AttrConfig("director", 70), PrefSim.AttrConfig("genre", 18))))
+  }
+
+  /** Relation vectors of every kind the engine compares under, from one
+    * population: two users' own relations, the common relations of latent
+    * group 0 (Def. 5, by `intersect`) and that group's Alg. 3 relations,
+    * built tuple by tuple with `add`. Threshold2 is 0.5, not the
+    * experiments' 0.9, so that Alg. 3 adds tuples beyond the common ones.
+    */
+  def prefSimRelations(cfg: PrefSim.SimConfig): Seq[(String, Array[PrefRelation])] = {
+    val users = PrefSim.users(cfg)
+    val group = users.filter(_.userId % cfg.nGroups == 0)
+    users.take(2).map(u => s"${cfg.name} user ${u.userId}" -> u.rels) ++ Seq(
+      s"${cfg.name} common" -> Clustering.commonRels(group),
+      s"${cfg.name} Alg. 3" -> ApproxPrefs.approxRels(group, Experiments.threshold1For, 0.5))
   }
 
   // ------------------------------------------------------- paper fixtures
