@@ -1,7 +1,8 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
+import org.scalatest.{BeforeAndAfterAll, Reporter}
+import org.scalatest.events.{Event, RunAborted, RunCompleted, RunStopped}
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
@@ -18,6 +19,8 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
+  @volatile private var started = false
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
@@ -26,6 +29,7 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    started = true
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(
@@ -34,5 +38,21 @@ object SparkSpec {
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )
     s
+  }
+
+  /** Stops the shared session, if a suite started it. */
+  def stop(): Unit = if (started) shared.stop()
+}
+
+/** Stops the shared session once, when the test run ends (build.sbt passes
+  * it to ScalaTest with `-C`). Left to Spark's JVM shutdown hook, the
+  * session's streaming state-store maintenance can still run while the RPC
+  * environment shuts down, and logs stack traces for stores whose temporary
+  * checkpoints are already deleted.
+  */
+class StopSparkAtRunEnd extends Reporter {
+  def apply(event: Event): Unit = event match {
+    case _: RunCompleted | _: RunAborted | _: RunStopped => SparkSpec.stop()
+    case _                                               =>
   }
 }

@@ -78,12 +78,24 @@ class DisseminationSpec extends SparkSpec {
     }
   }
 
+  /** The streaming queries' session: it shares the SparkContext, but its
+    * state stores take 2 shuffle partitions, not the 64 of the SQL frontier
+    * tests. Every partition runs a state-store task per micro-batch, and
+    * these queries have at most 3 cluster keys.
+    */
+  private lazy val streamSession = {
+    val s = spark.newSession()
+    s.conf.set("spark.sql.shuffle.partitions", "2")
+    s
+  }
+
   private def runStreaming(clusters: Seq[Cluster], objects: Seq[Obj],
                            window: Option[Int], batches: Int): Map[Long, Set[Int]] = {
-    import spark.implicits._
-    implicit val sqlCtx = spark.sqlContext
+    val session = streamSession
+    import session.implicits._
+    implicit val sqlCtx = session.sqlContext
     val source = MemoryStream[Dissemination.ObjEvent]
-    val emissions = Dissemination.streamingEmissions(spark, source.toDS(), clusters, window)
+    val emissions = Dissemination.streamingEmissions(session, source.toDS(), clusters, window)
     val query = emissions.writeStream
       .format("memory")
       .queryName(s"emits_${System.nanoTime()}")
@@ -96,7 +108,7 @@ class DisseminationSpec extends SparkSpec {
         source.addData(g.map(o => Dissemination.ObjEvent(o.ts, o.attrs.toSeq)))
         query.processAllAvailable()
       }
-      spark.table(query.name).collect()
+      session.table(query.name).collect()
         .map(r => (r.getLong(0), r.getInt(1)))
         .groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
     } finally query.stop()
@@ -127,7 +139,7 @@ class DisseminationSpec extends SparkSpec {
     assert(streamed == expected)
   }
 
-  test("comparison accumulator reports the filter-then-verify saving") {
+  test("exact-cluster FilterThenVerify over Spark equals Baseline, counts positive") {
     val rng = new Random(99)
     val domains = Seq(5, 5)
     val users = randomUsers(rng, 12, domains, nGroups = 2)
