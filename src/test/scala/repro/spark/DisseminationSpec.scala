@@ -139,7 +139,7 @@ class DisseminationSpec extends SparkSpec {
     assert(streamed == expected)
   }
 
-  test("exact-cluster FilterThenVerify over Spark equals Baseline, counts positive") {
+  test("comparison accumulator reports the filter-then-verify saving") {
     val rng = new Random(99)
     val domains = Seq(5, 5)
     val users = randomUsers(rng, 12, domains, nGroups = 2)
