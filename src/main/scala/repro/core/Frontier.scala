@@ -185,28 +185,3 @@ object Frontier {
   private val NoLongs = new Array[Long](0)
   private val NoObjs = new Array[Obj](0)
 }
-
-/** From-scratch golden model used by tests: the Pareto frontier of a plain
-  * object collection (Def. 3), or of the alive window (Def. 9), and the
-  * Pareto frontier buffer (Def. 10).
-  */
-object BruteForce {
-
-  /** `P = {o : ¬∃ o' ≻ o}` over the given objects. */
-  def frontier(prefs: Array[PrefRelation], objects: Seq[Obj]): Set[Long] = {
-    val counter = new OpCounter
-    objects.iterator.filter { o =>
-      !objects.exists(p => p.ts != o.ts &&
-        Dominance.compare(prefs, p.attrs, o.attrs, counter) == Dominance.Dominates)
-    }.map(_.ts).toSet
-  }
-
-  /** Def. 10: alive objects not dominated by any *following* alive object. */
-  def buffer(prefs: Array[PrefRelation], objects: Seq[Obj]): Set[Long] = {
-    val counter = new OpCounter
-    objects.iterator.filter { o =>
-      !objects.exists(p => p.ts > o.ts &&
-        Dominance.compare(prefs, p.attrs, o.attrs, counter) == Dominance.Dominates)
-    }.map(_.ts).toSet
-  }
-}

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.PrefSim
 import scala.util.Random
 import TestGen._
 
@@ -10,6 +11,9 @@ import TestGen._
   * match Def. 10.
   */
 class SlidingWindowSpec extends AnyFunSuite {
+
+  private val PrefSimN = 240
+  private val PrefSimW = 60
 
   /** Step-by-step checker: replay the stream through a windowed Baseline
     * state while checking each user's frontier and buffer against brute
@@ -32,6 +36,31 @@ class SlidingWindowSpec extends AnyFunSuite {
     }
   }
 
+  /** The same check for windowed FilterThenVerify clusters: each
+    * cluster's `P_U` and `PB_U`, and each member's `P_c`, at every step.
+    */
+  private def checkFtvSW(users: Seq[UserPrefs], clusters: Seq[Cluster], objects: Seq[Obj], w: Int): Unit = {
+    val counters = clusters.map(_ => new OpCounter)
+    val states = clusters.zip(counters).map { case (c, k) => new FilterThenVerifySW.ClusterState(c, k) }
+    val sorted = objects.sortBy(_.ts)
+    val byId = users.map(u => u.userId -> u).toMap
+    sorted.zipWithIndex.foreach { case (o, i) =>
+      if (i >= w) states.foreach(_.onExpiry(sorted(i - w).ts))
+      states.foreach(_.onArrival(o))
+      val alive = sorted.slice(math.max(0, i - w + 1), i + 1)
+      states.foreach { st =>
+        assert(st.filterFrontier.ids == BruteForce.frontier(st.cluster.filterRels, alive),
+          s"cluster ${st.cluster.clusterId} step $i P_U mismatch")
+        assert(st.buffer.ids == BruteForce.buffer(st.cluster.filterRels, alive),
+          s"cluster ${st.cluster.clusterId} step $i PB_U mismatch")
+        st.frontierIds.foreach { case (uid, ids) =>
+          assert(ids == BruteForce.frontier(byId(uid).rels, alive),
+            s"user $uid step $i P_c mismatch (alive=${alive.map(_.ts)})")
+        }
+      }
+    }
+  }
+
   for (seed <- 0 until 8)
     test(s"BaselineSW frontier and buffer match Defs. 9/10 at every step (seed=$seed)") {
       val rng = new Random(seed)
@@ -48,26 +77,23 @@ class SlidingWindowSpec extends AnyFunSuite {
       val users = randomUsers(rng, 8, domains)
       val objects = randomObjects(rng, 70, domains)
       val clusters = randomExactClusters(rng, users, 3)
-      val w = 10 + rng.nextInt(10)
-      val counters = clusters.map(_ => new OpCounter)
-      val states = clusters.zip(counters).map { case (c, k) => new FilterThenVerifySW.ClusterState(c, k) }
-      val sorted = objects.sortBy(_.ts)
-      val byId = users.map(u => u.userId -> u).toMap
-      sorted.zipWithIndex.foreach { case (o, i) =>
-        if (i >= w) states.foreach(_.onExpiry(sorted(i - w).ts))
-        states.foreach(_.onArrival(o))
-        val alive = sorted.slice(math.max(0, i - w + 1), i + 1)
-        states.foreach { st =>
-          assert(st.filterFrontier.ids == BruteForce.frontier(st.cluster.filterRels, alive),
-            s"cluster ${st.cluster.clusterId} step $i P_U mismatch")
-          assert(st.buffer.ids == BruteForce.buffer(st.cluster.filterRels, alive),
-            s"cluster ${st.cluster.clusterId} step $i PB_U mismatch")
-          st.frontierIds.foreach { case (uid, ids) =>
-            assert(ids == BruteForce.frontier(byId(uid).rels, alive),
-              s"user $uid step $i P_c mismatch (alive=${alive.map(_.ts)})")
-          }
-        }
-      }
+      checkFtvSW(users, clusters, objects, w = 10 + rng.nextInt(10))
+    }
+
+  // PrefSim populations (movie, publication, and "wide", whose 130- and
+  // 70-value domains take several closure words per row) over a Zipf
+  // stream that slides the window several times over.
+  for (cfg <- prefSimConfigs)
+    test(s"BaselineSW matches Defs. 9/10 at every step on PrefSim ${cfg.name} users") {
+      val users = PrefSim.users(cfg).filter(_.userId % cfg.nGroups < 2)
+      checkBaselineSW(users, PrefSim.objects(cfg, PrefSimN), PrefSimW)
+    }
+
+  for (cfg <- prefSimConfigs)
+    test(s"FilterThenVerifySW matches Defs. 9/10 at every step on PrefSim ${cfg.name} clusters (SimVecWJ, h = 0.55)") {
+      val users = PrefSim.users(cfg)
+      val clusters = Clustering.exactClusters(Clustering.dendrogram(users, Clustering.SimVecWJ), 0.55)
+      checkFtvSW(users, clusters, PrefSim.objects(cfg, PrefSimN), PrefSimW)
     }
 
   for (seed <- 0 until 6)
