@@ -107,6 +107,26 @@ sealed abstract class EngineState extends Serializable {
       d += 1
     }
   }
+
+  /** Rejects, at construction, a user whose attribute count or domain
+    * sizes differ from `rels`, the relations [[requireFits]] checks arrivals
+    * against (`of` names their owner), and a user id that the `keys` ids
+    * the state keeps do not tell apart: an arrival that fits `rels` would
+    * read another value's outcome-table entry, and a second user with one
+    * id would share a frontier with the first.
+    */
+  protected final def requireUsers(users: Seq[UserPrefs], keys: Int, rels: Array[PrefRelation], of: => String): Unit = {
+    require(keys == users.size, s"user ${users.groupBy(_.userId).maxBy(_._2.size)._1}: two users have this id")
+    def sizes(r: Array[PrefRelation]) = r.map(_.domainSize).mkString("(", ", ", ")")
+    users.foreach { u =>
+      var d = 0
+      while (d < (u.rels.length max rels.length)) {
+        require(d < u.rels.length && d < rels.length && u.rels(d).domainSize == rels(d).domainSize,
+          s"user ${u.userId}, attribute $d: domain sizes ${sizes(u.rels)}, $of has ${sizes(rels)}")
+        d += 1
+      }
+    }
+  }
 }
 
 /** Algorithms 1 and 4 (Baseline, BaselineSW): every user keeps their own
@@ -121,6 +141,7 @@ object Baseline {
     def userFrontiers: Map[Int, Frontier] = frontiers
     // Users share the attribute domains.
     private val rels = users.headOption.map(_.rels)
+    rels.foreach(requireUsers(users, frontiers.size, _, s"user ${users.head.userId}"))
 
     def onArrival(o: Obj): Set[Int] = {
       rels.foreach(requireFits(o, _))
@@ -159,6 +180,7 @@ object FilterThenVerify {
     val filterFrontier = new Level(cluster.filterRels, counter, windowed)
     val userFrontiers: Map[Int, Frontier] =
       cluster.members.map(u => u.userId -> new Frontier(u.rels, counter)).toMap
+    requireUsers(cluster.members, userFrontiers.size, cluster.filterRels, s"cluster ${cluster.clusterId}'s filter")
     def buffer: Frontier = filterFrontier.buffer
 
     def onArrival(o: Obj): Set[Int] = {
@@ -218,6 +240,9 @@ object FilterThenVerifySW {
   */
 final class Replay(states: Seq[EngineState], window: Option[Int]) extends Serializable {
   window.foreach(w => require(w > 0, s"window $w: a count-based window must hold at least one object"))
+  // A user id names one frontier in `frontiers`.
+  require(states.map(_.userFrontiers.size).sum == frontiers.size,
+    s"user ${states.flatMap(_.userFrontiers.keys).groupBy(identity).maxBy(_._2.size)._1}: in two states of one replay")
   private val alive = mutable.Queue.empty[Long]
   private var lastTs = Long.MinValue
 
