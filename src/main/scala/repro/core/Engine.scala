@@ -67,18 +67,7 @@ final class Level(prefs: Array[PrefRelation], counter: OpCounter, windowed: Bool
     */
   def expire(outTs: Long): Seq[Obj] = {
     buffer.remove(outTs)
-    val at = indexOf(outTs)
-    if (at < 0) return Nil
-    val out = obj(at)
-    removeAt(at)
-    var promoted = List.empty[Obj]
-    var i = 0
-    while (i < buffer.size) {
-      val o = buffer.obj(i)
-      if (dominates(out, buffer, i) && !dominatesNew(o)) { insert(o); promoted ::= o }
-      i += 1
-    }
-    promoted.reverse
+    take(outTs).fold(Seq.empty[Obj])(mendFromBuffer(_, buffer))
   }
 }
 
@@ -192,27 +181,13 @@ object FilterThenVerify {
     }
 
     def onExpiry(outTs: Long): Map[Int, Seq[Obj]] = {
-      val pu = filterFrontier
-      val at = pu.indexOf(outTs)
-      if (at < 0) { pu.expire(outTs); return Map.empty }
-      val out = pu.obj(at)
-      pu.expire(outTs) // mendParetoFrontierUSW
+      val held = filterFrontier.contains(outTs)
+      filterFrontier.expire(outTs) // mendParetoFrontierUSW
+      if (!held) return Map.empty
       // Per-member mend: only members that held o_out can gain objects.
-      val promotions = mutable.Map.empty[Int, Seq[Obj]]
-      userFrontiers.foreach { case (uid, pc) =>
-        if (pc.remove(outTs)) {
-          // Candidates from P_U can c-dominate each other (they are only
-          // mutually non-dominated w.r.t. ≻_U), so check each against the
-          // remaining frontier AND the other candidates before promoting.
-          val cand = (0 until pu.size).filter(i => !pc.contains(pu.obj(i).ts) && pc.dominates(out, pu, i))
-            .map(pu.obj)
-          val promoted = cand.filter(o =>
-            !pc.dominatesNew(o) && !cand.exists(p => p.ts != o.ts && pc.dominates(p, o)))
-          promoted.foreach(pc.insert)
-          if (promoted.nonEmpty) promotions(uid) = promoted
-        }
+      userFrontiers.flatMap { case (uid, pc) =>
+        pc.take(outTs).map(pc.mendFromFilter(_, filterFrontier)).filter(_.nonEmpty).map(uid -> _)
       }
-      promotions.toMap
     }
   }
 

@@ -47,14 +47,11 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   def ids: Set[Long] = tss.iterator.take(n).toSet
 
   /** Position of member `ts` in insertion order, or -1. */
-  private[core] def indexOf(ts: Long): Int = {
+  private def indexOf(ts: Long): Int = {
     var i = 0
     while (i < n && tss(i) != ts) i += 1
     if (i < n) i else -1
   }
-
-  /** The member at position `i`. */
-  private[core] def obj(i: Int): Obj = objs(i)
 
   /** Alg. 1 `updateParetoFrontier`: compare `o` sequentially with current
     * members. Dominated or identical stops the scan (identical is still
@@ -96,13 +93,13 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     }
 
   /** `a ≻ b` under this frontier's prefs (one counted comparison). */
-  def dominates(a: Obj, b: Obj): Boolean =
+  private def dominates(a: Obj, b: Obj): Boolean =
     Dominance.compare(prefs, a.attrs, b.attrs, counter) == Dominance.Dominates
 
   /** `a ≻` the member at position `i` of `of`, under this frontier's prefs
     * (one counted comparison).
     */
-  private[core] def dominates(a: Obj, of: Frontier, i: Int): Boolean =
+  private def dominates(a: Obj, of: Frontier, i: Int): Boolean =
     Dominance.compare(prefs, a.attrs, 0, of.attrs, i * of.d, counter) == Dominance.Dominates
 
   /** Is `o` dominated by any current member? (No mutation.) */
@@ -136,8 +133,14 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     i >= 0
   }
 
+  /** Remove member `ts` and return it, if it was one. */
+  def take(ts: Long): Option[Obj] = {
+    val i = indexOf(ts)
+    if (i < 0) None else { val o = objs(i); removeAt(i); Some(o) }
+  }
+
   /** Remove the member at position `i`. */
-  private[core] def removeAt(i: Int): Unit = {
+  private def removeAt(i: Int): Unit = {
     val tail = n - i - 1
     System.arraycopy(attrs, (i + 1) * d, attrs, i * d, tail * d)
     System.arraycopy(tss, i + 1, tss, i, tail)
@@ -156,6 +159,38 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     }
     if (gone.isEmpty) Nil
     else { val removed = gone.reverse; drop(removed); removed }
+  }
+
+  /** `mendParetoFrontierSW` (Algs. 4/5), after `out` has left this
+    * frontier `P`: promote, in `buffer` order, each `PB` member that `out`
+    * dominates and no member of `P` dominates. Each test sees the
+    * promotions made before it. Returns the promoted objects.
+    */
+  def mendFromBuffer(out: Obj, buffer: Frontier): Seq[Obj] = {
+    var promoted = List.empty[Obj]
+    var i = 0
+    while (i < buffer.n) {
+      val o = buffer.objs(i)
+      if (dominates(out, buffer, i) && !dominatesNew(o)) { insert(o); promoted ::= o }
+      i += 1
+    }
+    promoted.reverse
+  }
+
+  /** The member mend (a correction of Alg. 5, see DESIGN.md), after `out`
+    * has left this member frontier `P_c`: the candidates are the members
+    * of `filter` (`P_U`) that are not in `P_c` and that `out` dominates
+    * under `P_c`'s prefs. Candidates can dominate each other (they are only
+    * mutually non-dominated under the filter's prefs), so each joins only
+    * if neither a member nor another candidate dominates it. Returns the
+    * promoted objects.
+    */
+  def mendFromFilter(out: Obj, filter: Frontier): Seq[Obj] = {
+    val cand = (0 until filter.n).filter(i => !contains(filter.tss(i)) && dominates(out, filter, i))
+      .map(filter.objs(_))
+    val promoted = cand.filter(o => !dominatesNew(o) && !cand.exists(p => p.ts != o.ts && dominates(p, o)))
+    promoted.foreach(insert)
+    promoted
   }
 
   /** Remove `gone`, members listed in insertion order, in one compacting pass. */
