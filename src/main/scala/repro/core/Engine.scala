@@ -97,12 +97,12 @@ sealed abstract class EngineState extends Serializable {
     }
   }
 
-  /** Rejects, at construction, a user whose attribute count or domain
-    * sizes differ from `rels`, the relations [[requireFits]] checks arrivals
-    * against (`of` names their owner), and a user id that the `keys` ids
-    * the state keeps do not tell apart: an arrival that fits `rels` would
-    * read another value's outcome-table entry, and a second user with one
-    * id would share a frontier with the first.
+  /** Rejects, at construction, two users with one id (`keys` is the
+    * number of ids the state keeps a frontier for), and a user whose
+    * attribute count or domain sizes differ from `rels`, the relations
+    * [[requireFits]] checks arrivals against (`of` names their owner). The
+    * first would share the other's frontier; for the second, an arrival
+    * that fits `rels` could read another value's outcome-table entry.
     */
   protected final def requireUsers(users: Seq[UserPrefs], keys: Int, rels: Array[PrefRelation], of: => String): Unit = {
     require(keys == users.size, s"user ${users.groupBy(_.userId).maxBy(_._2.size)._1}: two users have this id")
@@ -128,7 +128,8 @@ object Baseline {
     val frontiers: Map[Int, Level] =
       users.map(u => u.userId -> new Level(u.rels, counter, windowed)).toMap
     def userFrontiers: Map[Int, Frontier] = frontiers
-    // Users share the attribute domains.
+    // Arrivals are checked against the first user's domains, which every
+    // user must share.
     private val rels = users.headOption.map(_.rels)
     rels.foreach(requireUsers(users, frontiers.size, _, s"user ${users.head.userId}"))
 
