@@ -161,11 +161,7 @@ object Clustering {
     */
   def dendrogram(users: Seq[UserPrefs], measure: Measure): Dendrogram = {
     require(users.nonEmpty, "no users")
-    val first = users.head
-    def sizes(u: UserPrefs) = u.rels.map(_.domainSize).mkString("(", ", ", ")")
-    for (u <- users; d <- 0 until (u.rels.length max first.rels.length))
-      require(d < u.rels.length && d < first.rels.length && u.rels(d).domainSize == first.rels(d).domainSize,
-        s"user ${u.userId}, attribute $d: domain sizes ${sizes(u)}, user ${first.userId} has ${sizes(first)}")
+    UserPrefs.requireDomains(users, users.head.rels, s"user ${users.head.userId}")
     val n = users.size
     // reps(id) is null once the cluster is merged, which releases its vectors.
     val reps = new Array[ClusterRep](2 * n - 1)

@@ -5,6 +5,24 @@ import scala.collection.mutable
 /** A user with integer id and one preference relation per attribute. */
 final case class UserPrefs(userId: Int, rels: Array[PrefRelation]) extends Serializable
 
+object UserPrefs {
+  /** Rejects a user whose attribute count or domain sizes differ from
+    * `rels` (`of` names their owner), naming the user and the attribute.
+    */
+  def requireDomains(users: Seq[UserPrefs], rels: Array[PrefRelation], of: => String): Unit = {
+    def sizes(r: Array[PrefRelation]) = r.map(_.domainSize).mkString("(", ", ", ")")
+    users.foreach { u =>
+      var d = 0
+      while (d < (u.rels.length max rels.length)) {
+        if (d >= u.rels.length || d >= rels.length || u.rels(d).domainSize != rels(d).domainSize)
+          throw new IllegalArgumentException(
+            s"requirement failed: user ${u.userId}, attribute $d: domain sizes ${sizes(u.rels)}, $of has ${sizes(rels)}")
+        d += 1
+      }
+    }
+  }
+}
+
 /** Dissemination decision for object `ts`: its target users `C_o`. Under a
   * sliding window, users the object is promoted for later (mend on expiry)
   * join `C_o` too, mirroring `C_o ← C_o ∪ {c}` in Procedure
@@ -39,19 +57,24 @@ final case class RunResult(emissions: Seq[Emission],
   * (Thm. 5), and the frontier is always the set of `PB` members no other
   * alive object dominates. A level is all of a Baseline user's state
   * (`P_c`, `PB_c`; Algs. 1/4) and a cluster's filter level (`P_U`, `PB_U`;
-  * Algs. 2/5).
+  * Algs. 2/5). The state that builds a level chooses the store of `P`, and
+  * `PB` is a store of the same kind.
   */
-final class Level(prefs: Array[PrefRelation], counter: OpCounter, windowed: Boolean)
-    extends Frontier(prefs, counter) {
+final class Level(val frontier: Frontier, windowed: Boolean) extends Serializable {
 
-  /** `PB` in arrival order, stored like `P`; never built when append-only. */
-  lazy val buffer = new Frontier(prefs, counter)
+  /** `PB` in arrival order; never built when append-only. */
+  lazy val buffer: Frontier = frontier.newEmpty
+
+  /** `P`'s size, under the name the `perfbench/` harness reads. */
+  def sizeNow: Int = frontier.size
+  def contains(ts: Long): Boolean = frontier.contains(ts)
+  def ids: Set[Long] = frontier.ids
 
   /** Admit `o` into `P`; when windowed, `refreshParetoBufferSW` as well:
     * `o` joins `PB` and evicts the buffer members it dominates.
     */
   def arrive(o: Obj): UpdateResult = {
-    val res = admit(o, windowed)
+    val res = frontier.admit(o, windowed)
     if (windowed) {
       buffer.evictDominatedBy(o)
       buffer.insert(o)
@@ -63,11 +86,12 @@ final class Level(prefs: Array[PrefRelation], counter: OpCounter, windowed: Bool
     * was in `P`, `mendParetoFrontierSW` promotes the buffer members it
     * dominated that the rest of `P` does not. Candidates go one at a time
     * in arrival order, each checked against a frontier that already holds
-    * the earlier promotions. Returns the promoted objects.
+    * the earlier promotions. Returns the promoted objects, or `None` if
+    * `outTs` was not in `P`.
     */
-  def expire(outTs: Long): Seq[Obj] = {
+  def expire(outTs: Long): Option[Seq[Obj]] = {
     buffer.remove(outTs)
-    take(outTs).fold(Seq.empty[Obj])(mendFromBuffer(_, buffer))
+    frontier.take(outTs).map(frontier.mendFromBuffer(_, buffer))
   }
 }
 
@@ -106,15 +130,7 @@ sealed abstract class EngineState extends Serializable {
     */
   protected final def requireUsers(users: Seq[UserPrefs], keys: Int, rels: Array[PrefRelation], of: => String): Unit = {
     require(keys == users.size, s"user ${users.groupBy(_.userId).maxBy(_._2.size)._1}: two users have this id")
-    def sizes(r: Array[PrefRelation]) = r.map(_.domainSize).mkString("(", ", ", ")")
-    users.foreach { u =>
-      var d = 0
-      while (d < (u.rels.length max rels.length)) {
-        require(d < u.rels.length && d < rels.length && u.rels(d).domainSize == rels(d).domainSize,
-          s"user ${u.userId}, attribute $d: domain sizes ${sizes(u.rels)}, $of has ${sizes(rels)}")
-        d += 1
-      }
-    }
+    UserPrefs.requireDomains(users, rels, of)
   }
 }
 
@@ -126,8 +142,8 @@ object Baseline {
   final class State(users: Seq[UserPrefs], val counter: OpCounter = new OpCounter, windowed: Boolean = false)
       extends EngineState {
     val frontiers: Map[Int, Level] =
-      users.map(u => u.userId -> new Level(u.rels, counter, windowed)).toMap
-    def userFrontiers: Map[Int, Frontier] = frontiers
+      users.map(u => u.userId -> new Level(new Frontier(u.rels, counter), windowed)).toMap
+    def userFrontiers: Map[Int, Frontier] = frontiers.map { case (uid, l) => uid -> l.frontier }
     // Arrivals are checked against the first user's domains, which every
     // user must share.
     private val rels = users.headOption.map(_.rels)
@@ -139,7 +155,7 @@ object Baseline {
     }
 
     def onExpiry(outTs: Long): Map[Int, Seq[Obj]] =
-      frontiers.map { case (uid, f) => uid -> f.expire(outTs) }.filter(_._2.nonEmpty)
+      frontiers.flatMap { case (uid, f) => f.expire(outTs).filter(_.nonEmpty).map(uid -> _) }
   }
 
   /** Replay `objects` for all `users`; `window = Some(w)` is BaselineSW. */
@@ -167,7 +183,7 @@ object FilterThenVerify {
 
   class ClusterState(val cluster: Cluster, val counter: OpCounter = new OpCounter,
                      windowed: Boolean = false) extends EngineState {
-    val filterFrontier = new Level(cluster.filterRels, counter, windowed)
+    val filterFrontier = new Level(new SlicedFrontier(cluster.filterRels, counter), windowed)
     val userFrontiers: Map[Int, Frontier] =
       cluster.members.map(u => u.userId -> new Frontier(u.rels, counter)).toMap
     requireUsers(cluster.members, userFrontiers.size, cluster.filterRels, s"cluster ${cluster.clusterId}'s filter")
@@ -181,15 +197,13 @@ object FilterThenVerify {
       else userFrontiers.iterator.collect { case (uid, f) if f.admit(o, windowed).isPareto => uid }.toSet
     }
 
-    def onExpiry(outTs: Long): Map[Int, Seq[Obj]] = {
-      val held = filterFrontier.contains(outTs)
-      filterFrontier.expire(outTs) // mendParetoFrontierUSW
-      if (!held) return Map.empty
-      // Per-member mend: only members that held o_out can gain objects.
-      userFrontiers.flatMap { case (uid, pc) =>
-        pc.take(outTs).map(pc.mendFromFilter(_, filterFrontier)).filter(_.nonEmpty).map(uid -> _)
-      }
-    }
+    def onExpiry(outTs: Long): Map[Int, Seq[Obj]] =
+      if (filterFrontier.expire(outTs).isEmpty) Map.empty // mendParetoFrontierUSW
+      else
+        // Per-member mend: only members that held o_out can gain objects.
+        userFrontiers.flatMap { case (uid, pc) =>
+          pc.take(outTs).map(pc.mendFromFilter(_, filterFrontier.frontier)).filter(_.nonEmpty).map(uid -> _)
+        }
   }
 
   /** Replay `objects` over all clusters; `window = Some(w)` is FilterThenVerifySW. */

@@ -17,26 +17,28 @@ object UpdateResult {
 
 /** Incremental Pareto frontier under a fixed preference-relation vector
   * (one strict partial order per attribute). This is the paper's Alg. 1
-  * inner procedure; it backs member frontiers `P_c`, Pareto buffers `PB`
-  * and, as a [[Level]], Baseline users and cluster filters `P_U`.
+  * inner procedure; it backs member frontiers `P_c`, and, held by a
+  * [[Level]], Baseline users and their buffers `PB_c`.
   *
+  * This class is the scan store, the reference for every comparison count.
   * Members are stored in insertion order in three columns: their attribute
   * values, `d = prefs.length` per member in one flat array, their
   * timestamps, and the objects themselves. Every scan walks the columns in
   * that order, so sequential comparison order matches the paper's
   * description and fixes the comparison counts; removal compacts the
   * columns and keeps the order. A timestamp identifies its member: each is
-  * inserted at most once.
+  * inserted at most once. [[SlicedFrontier]] answers the same operations
+  * with the same results and counts from bitmaps over the positions.
   */
 class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     extends Serializable {
 
-  private val d = prefs.length
-  private var n = 0
+  protected val d: Int = prefs.length
+  protected var n = 0
   // Empty frontiers share the empty columns; the first insert allocates.
   private var attrs: Array[Int] = Frontier.NoInts
-  private var tss: Array[Long] = Frontier.NoLongs
-  private var objs: Array[Obj] = Frontier.NoObjs
+  protected var tss: Array[Long] = Frontier.NoLongs
+  protected var objs: Array[Obj] = Frontier.NoObjs
 
   /** Number of members. */
   def size: Int = n
@@ -45,6 +47,9 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   def contains(ts: Long): Boolean = indexOf(ts) >= 0
   def objects: Seq[Obj] = ArraySeq.unsafeWrapArray(java.util.Arrays.copyOf(objs, n))
   def ids: Set[Long] = tss.iterator.take(n).toSet
+
+  /** An empty frontier of this store over the same relations and counter. */
+  def newEmpty: Frontier = new Frontier(prefs, counter)
 
   /** Position of member `ts` in insertion order, or -1. */
   private def indexOf(ts: Long): Int = {
@@ -96,12 +101,6 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   private def dominates(a: Obj, b: Obj): Boolean =
     Dominance.compare(prefs, a.attrs, b.attrs, counter) == Dominance.Dominates
 
-  /** `a ≻` the member at position `i` of `of`, under this frontier's prefs
-    * (one counted comparison).
-    */
-  private def dominates(a: Obj, of: Frontier, i: Int): Boolean =
-    Dominance.compare(prefs, a.attrs, 0, of.attrs, i * of.d, counter) == Dominance.Dominates
-
   /** Is `o` dominated by any current member? (No mutation.) */
   def dominatesNew(o: Obj): Boolean = {
     var i = 0
@@ -116,15 +115,21 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   def insert(o: Obj): Unit = {
     if (n == tss.length) {
       val cap = math.max(8, 2 * n)
-      attrs = java.util.Arrays.copyOf(attrs, cap * d)
       tss = java.util.Arrays.copyOf(tss, cap)
       objs = java.util.Arrays.copyOf(objs, cap)
+      grow(cap)
     }
-    System.arraycopy(o.attrs, 0, attrs, n * d, d)
+    place(o)
     tss(n) = o.ts
     objs(n) = o
     n += 1
   }
+
+  /** Make room for the attribute values of `cap` members. */
+  protected def grow(cap: Int): Unit = attrs = java.util.Arrays.copyOf(attrs, cap * d)
+
+  /** Store the attribute values of `o` at position `n`. */
+  protected def place(o: Obj): Unit = System.arraycopy(o.attrs, 0, attrs, n * d, d)
 
   /** Remove by timestamp; true if it was a member. */
   def remove(ts: Long): Boolean = {
@@ -139,26 +144,38 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     if (i < 0) None else { val o = objs(i); removeAt(i); Some(o) }
   }
 
-  /** Remove the member at position `i`. */
-  private def removeAt(i: Int): Unit = {
+  /** Remove the member at position `i`; later members move down by one. */
+  protected def removeAt(i: Int): Unit = {
     val tail = n - i - 1
-    System.arraycopy(attrs, (i + 1) * d, attrs, i * d, tail * d)
+    cut(i)
     System.arraycopy(tss, i + 1, tss, i, tail)
     System.arraycopy(objs, i + 1, objs, i, tail)
     n -= 1
     objs(n) = null
   }
 
+  /** Remove position `i`'s attribute values, `n` members stored. */
+  protected def cut(i: Int): Unit =
+    System.arraycopy(attrs, (i + 1) * d, attrs, i * d, (n - i - 1) * d)
+
   /** Evict all members dominated by `o` (w.r.t. this frontier's prefs). */
   def evictDominatedBy(o: Obj): Seq[Obj] = {
+    val gone = dominatedBy(o)
+    if (gone.nonEmpty) drop(gone)
+    gone
+  }
+
+  /** The members `o` dominates, in insertion order: one comparison per
+    * member. (No mutation.)
+    */
+  protected def dominatedBy(o: Obj): List[Obj] = {
     var gone = List.empty[Obj]
     var i = 0
     while (i < n) {
-      if (dominates(o, this, i)) gone ::= objs(i)
+      if (Dominance.compare(prefs, o.attrs, 0, attrs, i * d, counter) == Dominance.Dominates) gone ::= objs(i)
       i += 1
     }
-    if (gone.isEmpty) Nil
-    else { val removed = gone.reverse; drop(removed); removed }
+    gone.reverse
   }
 
   /** `mendParetoFrontierSW` (Algs. 4/5), after `out` has left this
@@ -168,11 +185,8 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     */
   def mendFromBuffer(out: Obj, buffer: Frontier): Seq[Obj] = {
     var promoted = List.empty[Obj]
-    var i = 0
-    while (i < buffer.n) {
-      val o = buffer.objs(i)
-      if (dominates(out, buffer, i) && !dominatesNew(o)) { insert(o); promoted ::= o }
-      i += 1
+    buffer.dominatedBy(out).foreach { o =>
+      if (!dominatesNew(o)) { insert(o); promoted ::= o }
     }
     promoted.reverse
   }
@@ -186,15 +200,31 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     * promoted objects.
     */
   def mendFromFilter(out: Obj, filter: Frontier): Seq[Obj] = {
-    val cand = (0 until filter.n).filter(i => !contains(filter.tss(i)) && dominates(out, filter, i))
-      .map(filter.objs(_))
+    val cand = filter.freedBy(out, this)
     val promoted = cand.filter(o => !dominatesNew(o) && !cand.exists(p => p.ts != o.ts && dominates(p, o)))
     promoted.foreach(insert)
     promoted
   }
 
+  /** The member mend's candidates: the members of this frontier that `pc`
+    * does not hold and that `out` dominates under `pc`'s prefs, in
+    * insertion order, with one comparison on `pc`'s counter per member
+    * `pc` does not hold.
+    */
+  protected def freedBy(out: Obj, pc: Frontier): List[Obj] = {
+    var cand = List.empty[Obj]
+    var i = 0
+    while (i < n) {
+      if (!pc.contains(tss(i)) &&
+          Dominance.compare(pc.prefs, out.attrs, 0, attrs, i * d, pc.counter) == Dominance.Dominates)
+        cand ::= objs(i)
+      i += 1
+    }
+    cand.reverse
+  }
+
   /** Remove `gone`, members listed in insertion order, in one compacting pass. */
-  private def drop(gone: List[Obj]): Unit = {
+  protected def drop(gone: List[Obj]): Unit = {
     var rest = gone
     var kept = 0
     var i = 0

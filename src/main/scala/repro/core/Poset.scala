@@ -38,6 +38,19 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
     table
   }
 
+  /** The values at least as good as `v`: `v` and every `u ≻ v`, ascending. */
+  private[core] def atLeast(v: Int): Array[Int] = above(v)
+
+  /** The values at most as good as `v`: `v` and every `u` with `v ≻ u`, ascending. */
+  private[core] def atMost(v: Int): Array[Int] = below(v)
+
+  // The value lists the bit-sliced filter store reads (`SlicedFrontier`),
+  // built on first use and transient, like the outcome table.
+  @transient private lazy val above: Array[Array[Int]] =
+    Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(u, v)).toArray)
+  @transient private lazy val below: Array[Array[Int]] =
+    Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(v, u)).toArray)
+
   /** `worse(x)`: the values `y` with `x ≻ y`, as a set (a copy of the row). */
   def worse(x: Int): BitSet = BitSet.fromBitMaskNoCopy(rows.slice(x * words, (x + 1) * words))
 
@@ -146,11 +159,6 @@ object PrefRelation {
       require(!has(x, x), s"cycle through value $x — not a strict partial order")
     new PrefRelation(domainSize, adj)
   }
-
-  /** Is the given tuple set (after closure) a strict partial order? */
-  def isStrictPartialOrder(domainSize: Int, edges: Iterable[(Int, Int)]): Boolean =
-    try { fromEdges(domainSize, edges); true }
-    catch { case _: IllegalArgumentException => false }
 
   /** Intersection of many relations — the common preference relation of a
     * cluster (Def. 5). Defined for a non-empty collection.

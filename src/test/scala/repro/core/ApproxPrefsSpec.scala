@@ -37,7 +37,7 @@ class ApproxPrefsSpec extends AnyFunSuite {
 
   test("Example 11 with default tie-break still satisfies all invariants") {
     val rel = ApproxPrefs.getApproxPreferenceTuples(fig3aUsers, threshold1 = 7, threshold2 = 0.6)
-    assert(PrefRelation.isStrictPartialOrder(4, rel.tuples))
+    assert(isStrictPartialOrder(4, rel.tuples))
     assert(rel.prefers(A, T)) // the common tuple is always present
   }
 
@@ -64,7 +64,7 @@ class ApproxPrefsSpec extends AnyFunSuite {
       common.tuples.foreach { case (x, y) =>
         assert(approx.prefers(x, y), s"common tuple ($x,$y) missing from approx")
       }
-      assert(PrefRelation.isStrictPartialOrder(m, approx.tuples))
+      assert(isStrictPartialOrder(m, approx.tuples))
     }
 
   for (seed <- 0 until 10)

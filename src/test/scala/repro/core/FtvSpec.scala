@@ -56,6 +56,28 @@ class FtvSpec extends AnyFunSuite {
       }
     }
 
+  for (seed <- 0 until 4)
+    test(s"Lemma 1: every member's P_c stays within its cluster's P_aU at every step (seed=$seed)") {
+      // Approximate filters: an object `≻_aU` evicts need not be dominated
+      // for a member, so only the cascade takes it out of `P_c`.
+      val rng = new Random(700 + seed)
+      val domains = Seq(5, 5)
+      val users = randomUsers(rng, 8, domains, nGroups = 2)
+      val objects = randomObjects(rng, 80, domains)
+      val clusters = users.grouped(4).toSeq.zipWithIndex.map { case (members, cid) =>
+        Cluster(cid, ApproxPrefs.approxRels(members, threshold1 = _ => 12, threshold2 = 0.4), members)
+      }
+      val states = clusters.map(new FilterThenVerify.ClusterState(_))
+      objects.zipWithIndex.foreach { case (o, i) =>
+        states.foreach { st =>
+          st.onArrival(o)
+          st.frontierIds.foreach { case (uid, ids) =>
+            assert(ids.subsetOf(st.filterFrontier.ids), s"user $uid step $i: P_c not within P_U")
+          }
+        }
+      }
+    }
+
   for (seed <- 0 until 6)
     test(s"FilterThenVerify does at most as many comparisons as Baseline with singleton clusters (seed=$seed)") {
       val (users, objects, _) = randomScenario(seed, nUsers = 16, nObjs = 100)

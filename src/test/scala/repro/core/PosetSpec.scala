@@ -31,8 +31,8 @@ class PosetSpec extends AnyFunSuite {
   }
 
   test("isStrictPartialOrder accepts valid and rejects cyclic edge sets") {
-    assert(PrefRelation.isStrictPartialOrder(3, Seq((0, 1), (1, 2))))
-    assert(!PrefRelation.isStrictPartialOrder(3, Seq((0, 1), (1, 2), (2, 0))))
+    assert(isStrictPartialOrder(3, Seq((0, 1), (1, 2))))
+    assert(!isStrictPartialOrder(3, Seq((0, 1), (1, 2), (2, 0))))
   }
 
   test("Example 3: c1 CPU relation has exactly the paper's 5 tuples") {
@@ -167,7 +167,7 @@ class PosetSpec extends AnyFunSuite {
       val i = PrefRelation.fromEdges(m, ea).intersect(PrefRelation.fromEdges(m, eb))
       for (x <- 0 until m; y <- 0 until m) assert(i.prefers(x, y) == (ra(x)(y) && rb(x)(y)), s"($x,$y)")
       assert(i.size == (0 until m).map(x => (ra(x) & rb(x)).size).sum)
-      assert(PrefRelation.isStrictPartialOrder(m, i.tuples))
+      assert(isStrictPartialOrder(m, i.tuples))
     }
 
   for (seed <- 0 until 10)
@@ -186,7 +186,7 @@ class PosetSpec extends AnyFunSuite {
       val m = 6 + rng.nextInt(6)
       val a = randomRelation(rng, m); val b = randomRelation(rng, m)
       val i = a.intersect(b)
-      assert(PrefRelation.isStrictPartialOrder(m, i.tuples))
+      assert(isStrictPartialOrder(m, i.tuples))
       i.tuples.foreach { case (x, y) => assert(a.prefers(x, y) && b.prefers(x, y)) }
       a.tuples.foreach { case (x, y) => if (b.prefers(x, y)) assert(i.prefers(x, y)) }
     }

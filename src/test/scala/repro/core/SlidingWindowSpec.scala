@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.PrefSim
+import repro.exp.Experiments
 import scala.util.Random
 import TestGen._
 
@@ -56,6 +57,8 @@ class SlidingWindowSpec extends AnyFunSuite {
         st.frontierIds.foreach { case (uid, ids) =>
           assert(ids == BruteForce.frontier(byId(uid).rels, alive),
             s"user $uid step $i P_c mismatch (alive=${alive.map(_.ts)})")
+          // Lemma 1, which the member mend's comparison count rests on.
+          assert(ids.subsetOf(st.filterFrontier.ids), s"user $uid step $i: P_c not within P_U")
         }
       }
     }
@@ -94,6 +97,27 @@ class SlidingWindowSpec extends AnyFunSuite {
       val users = PrefSim.users(cfg)
       val clusters = Clustering.exactClusters(Clustering.dendrogram(users, Clustering.SimVecWJ), 0.55)
       checkFtvSW(users, clusters, PrefSim.objects(cfg, PrefSimN), PrefSimW)
+    }
+
+  // Approximate filters (Alg. 3): `P_c` is not the user's frontier, but it
+  // must stay within `P_aU` (Lemma 1), which the member mend's comparison
+  // count rests on.
+  for (cfg <- prefSimConfigs.take(2))
+    test(s"FilterThenVerifySW keeps every P_c within P_aU at every step on PrefSim ${cfg.name} Alg. 3 clusters") {
+      val users = PrefSim.users(cfg)
+      val clusters = Clustering.clustersAt(Clustering.dendrogram(users, Clustering.SimVecWJ), 0.55)(
+        ApproxPrefs.approxRels(_, Experiments.threshold1For, 0.5))
+      val states = clusters.map(new FilterThenVerifySW.ClusterState(_, new OpCounter))
+      val sorted = PrefSim.objects(cfg, PrefSimN).sortBy(_.ts)
+      sorted.zipWithIndex.foreach { case (o, i) =>
+        if (i >= PrefSimW) states.foreach(_.onExpiry(sorted(i - PrefSimW).ts))
+        states.foreach { st =>
+          st.onArrival(o)
+          st.frontierIds.foreach { case (uid, ids) =>
+            assert(ids.subsetOf(st.filterFrontier.ids), s"user $uid step $i: P_c not within P_aU")
+          }
+        }
+      }
     }
 
   for (seed <- 0 until 6)

@@ -19,6 +19,11 @@ object TestGen {
     PrefRelation.fromEdges(domainSize, edges)
   }
 
+  /** Is the given tuple set (after closure) a strict partial order? */
+  def isStrictPartialOrder(domainSize: Int, edges: Iterable[(Int, Int)]): Boolean =
+    try { PrefRelation.fromEdges(domainSize, edges); true }
+    catch { case _: IllegalArgumentException => false }
+
   /** A user relation "near" a base relation: drop each base tuple's Hasse
     * edge with probability `drop`, add a few random compatible edges —
     * models users in the same latent preference group.

@@ -1,7 +1,8 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Clustering, PrefRelation}
+import repro.core.Clustering
+import repro.core.TestGen.isStrictPartialOrder
 
 class PrefSimSpec extends AnyFunSuite {
 
@@ -29,7 +30,7 @@ class PrefSimSpec extends AnyFunSuite {
       PrefSim.users(cfg).foreach { u =>
         u.rels.zip(cfg.attrs).foreach { case (rel, attr) =>
           assert(rel.domainSize == attr.domainSize)
-          assert(PrefRelation.isStrictPartialOrder(rel.domainSize, rel.tuples))
+          assert(isStrictPartialOrder(rel.domainSize, rel.tuples))
         }
       }
     }
