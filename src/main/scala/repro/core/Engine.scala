@@ -142,7 +142,7 @@ object Baseline {
   final class State(users: Seq[UserPrefs], val counter: OpCounter = new OpCounter, windowed: Boolean = false)
       extends EngineState {
     val frontiers: Map[Int, Level] =
-      users.map(u => u.userId -> new Level(new Frontier(u.rels, counter), windowed)).toMap
+      users.map(u => u.userId -> new Level(new UpFrontier(u.rels, counter), windowed)).toMap
     def userFrontiers: Map[Int, Frontier] = frontiers.map { case (uid, l) => uid -> l.frontier }
     // Arrivals are checked against the first user's domains, which every
     // user must share.
@@ -183,9 +183,9 @@ object FilterThenVerify {
 
   class ClusterState(val cluster: Cluster, val counter: OpCounter = new OpCounter,
                      windowed: Boolean = false) extends EngineState {
-    val filterFrontier = new Level(new SlicedFrontier(cluster.filterRels, counter), windowed)
+    val filterFrontier = new Level(new EqFrontier(cluster.filterRels, counter), windowed)
     val userFrontiers: Map[Int, Frontier] =
-      cluster.members.map(u => u.userId -> new Frontier(u.rels, counter)).toMap
+      cluster.members.map(u => u.userId -> new UpFrontier(u.rels, counter)).toMap
     requireUsers(cluster.members, userFrontiers.size, cluster.filterRels, s"cluster ${cluster.clusterId}'s filter")
     def buffer: Frontier = filterFrontier.buffer
 

@@ -17,8 +17,7 @@ object UpdateResult {
 
 /** Incremental Pareto frontier under a fixed preference-relation vector
   * (one strict partial order per attribute). This is the paper's Alg. 1
-  * inner procedure; it backs member frontiers `P_c`, and, held by a
-  * [[Level]], Baseline users and their buffers `PB_c`.
+  * inner procedure.
   *
   * This class is the scan store, the reference for every comparison count.
   * Members are stored in insertion order in three columns: their attribute
@@ -27,8 +26,9 @@ object UpdateResult {
   * that order, so sequential comparison order matches the paper's
   * description and fixes the comparison counts; removal compacts the
   * columns and keeps the order. A timestamp identifies its member: each is
-  * inserted at most once. [[SlicedFrontier]] answers the same operations
-  * with the same results and counts from bitmaps over the positions.
+  * inserted at most once. The bit-sliced stores ([[SlicedFrontier]]), which
+  * the engine runs, answer the same operations with the same results and
+  * counts from bitmaps over the positions.
   */
 class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     extends Serializable {
@@ -117,7 +117,6 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
       val cap = math.max(8, 2 * n)
       tss = java.util.Arrays.copyOf(tss, cap)
       objs = java.util.Arrays.copyOf(objs, cap)
-      grow(cap)
     }
     place(o)
     tss(n) = o.ts
@@ -125,11 +124,13 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     n += 1
   }
 
-  /** Make room for the attribute values of `cap` members. */
-  protected def grow(cap: Int): Unit = attrs = java.util.Arrays.copyOf(attrs, cap * d)
-
-  /** Store the attribute values of `o` at position `n`. */
-  protected def place(o: Obj): Unit = System.arraycopy(o.attrs, 0, attrs, n * d, d)
+  /** Store the attribute values of `o` at position `n`; the attribute
+    * column grows with the others.
+    */
+  protected def place(o: Obj): Unit = {
+    if (attrs.length < tss.length * d) attrs = java.util.Arrays.copyOf(attrs, tss.length * d)
+    System.arraycopy(o.attrs, 0, attrs, n * d, d)
+  }
 
   /** Remove by timestamp; true if it was a member. */
   def remove(ts: Long): Boolean = {
@@ -209,36 +210,39 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   /** The member mend's candidates: the members of this frontier that `pc`
     * does not hold and that `out` dominates under `pc`'s prefs, in
     * insertion order, with one comparison on `pc`'s counter per member
-    * `pc` does not hold.
+    * `pc` does not hold. It reads the objects, not the attribute column,
+    * so a store without one has it too.
     */
   protected def freedBy(out: Obj, pc: Frontier): List[Obj] = {
     var cand = List.empty[Obj]
     var i = 0
     while (i < n) {
       if (!pc.contains(tss(i)) &&
-          Dominance.compare(pc.prefs, out.attrs, 0, attrs, i * d, pc.counter) == Dominance.Dominates)
+          Dominance.compare(pc.prefs, out.attrs, objs(i).attrs, pc.counter) == Dominance.Dominates)
         cand ::= objs(i)
       i += 1
     }
     cand.reverse
   }
 
-  /** Remove `gone`, members listed in insertion order, in one compacting pass. */
+  /** Remove `gone`, members listed in insertion order, in one compacting
+    * pass that moves each run of kept members with one copy per column.
+    */
   protected def drop(gone: List[Obj]): Unit = {
     var rest = gone
     var kept = 0
     var i = 0
     while (i < n) {
-      if (rest.nonEmpty && (objs(i) eq rest.head)) rest = rest.tail
-      else {
-        if (kept < i) {
-          System.arraycopy(attrs, i * d, attrs, kept * d, d)
-          tss(kept) = tss(i)
-          objs(kept) = objs(i)
-        }
-        kept += 1
+      var j = i // the kept run is `i until j`; `j` is the next evicted member
+      while (j < n && (rest.isEmpty || (objs(j) ne rest.head))) j += 1
+      if (kept < i) {
+        System.arraycopy(attrs, i * d, attrs, kept * d, (j - i) * d)
+        System.arraycopy(tss, i, tss, kept, j - i)
+        System.arraycopy(objs, i, objs, kept, j - i)
       }
-      i += 1
+      kept += j - i
+      if (j < n) rest = rest.tail
+      i = j + 1
     }
     java.util.Arrays.fill(objs.asInstanceOf[Array[AnyRef]], kept, n, null)
     n = kept

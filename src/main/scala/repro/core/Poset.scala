@@ -44,12 +44,23 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
   /** The values at most as good as `v`: `v` and every `u` with `v ≻ u`, ascending. */
   private[core] def atMost(v: Int): Array[Int] = below(v)
 
-  // The value lists the bit-sliced filter store reads (`SlicedFrontier`),
-  // built on first use and transient, like the outcome table.
+  /** The minimal values of those `v` is not at least as good as, ascending.
+    * That set is an up-set, so `u` lies in it iff `u` is at least as good as
+    * one of them.
+    */
+  private[core] def minOut(v: Int): Array[Int] = outside(v)
+
+  // The value lists the bit-sliced stores read (`SlicedFrontier`), built on
+  // first use and transient, like the outcome table.
   @transient private lazy val above: Array[Array[Int]] =
     Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(u, v)).toArray)
   @transient private lazy val below: Array[Array[Int]] =
     Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(v, u)).toArray)
+  @transient private lazy val outside: Array[Array[Int]] =
+    Array.tabulate(domainSize) { v =>
+      val out = (0 until domainSize).filterNot(u => u == v || prefers(v, u))
+      out.filterNot(u => out.exists(prefers(u, _))).toArray
+    }
 
   /** `worse(x)`: the values `y` with `x ≻ y`, as a set (a copy of the row). */
   def worse(x: Int): BitSet = BitSet.fromBitMaskNoCopy(rows.slice(x * words, (x + 1) * words))

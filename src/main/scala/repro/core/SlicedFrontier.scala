@@ -2,27 +2,27 @@ package repro.core
 
 import java.lang.Long.{numberOfLeadingZeros, numberOfTrailingZeros}
 
-/** The bit-sliced store of a frontier: the Bitmap skyline (Tan, Eng & Ooi,
+/** The bit-sliced stores of a frontier: the Bitmap skyline (Tan, Eng & Ooi,
   * VLDB 2001) with one bit per frontier position and a partial order per
-  * attribute. It backs a cluster's filter level `P_U` and its buffer
-  * `PB_U`, and gives every operation the result and the comparison count of
-  * the scan store ([[Frontier]]), derived instead of counted call by call.
+  * attribute. They give every operation the result and the comparison count
+  * of the scan store ([[Frontier]]), derived instead of counted call by call.
   *
   * Members keep insertion order in two columns, the objects and their
-  * timestamps. There is no attribute column: for each attribute `a` and
-  * value `v`, the bitmap `eq_a(v)` holds the positions whose value on `a`
-  * is `v`. Removal shifts every later position down by one, in the columns
-  * and in the bitmaps; bits at positions `≥ size` are zero. For an object
-  * `o`, word by word:
-  *  - `D = ⋀_a ⋁_{u ⪰ o_a} eq_a(u)`, the members at least as good as `o`;
-  *  - `I = ⋀_a eq_a(o_a)`, the members identical to it;
-  *  - `E = ⋀_a ⋁_{u ⪯ o_a} eq_a(u)`, the members `o` is at least as good as.
+  * timestamps. There is no attribute column: each 64-position word holds one
+  * bitmap, a slot, per attribute `a` and value `v`. What slot `(a, v)` holds
+  * is the encoding's ([[EqFrontier]], [[UpFrontier]]); this class keeps the
+  * layout, the removal and the counts. Removal shifts every later position
+  * down by one, in the columns and in the bitmaps; bits at positions
+  * `≥ size` are zero. For an object `o`, each encoding forms word by word
+  *  - `D`, the members at least as good as `o`, and
+  *  - `E`, the members `o` is at least as good as;
+  * their intersection `I` holds the members identical to `o`.
   *
   * A sequential scan stops at its first dominator, so its count is the
   * position of the first such member plus one, or the size when there is
   * none; a scan that tests every member counts the size.
   */
-final class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
+sealed abstract class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
     extends Frontier(prefs, counter) {
 
   /** Bitmaps per word: attribute `a`'s value `v` is slot `Σ_{b<a} |dom_b| + v`. */
@@ -34,25 +34,27 @@ final class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
   }
   // Word `w` of slot `s`'s bitmap is `bits(w * slots + s)`, so the slots of
   // one word lie together. Empty stores share the empty array.
-  private var bits: Array[Long] = SlicedFrontier.NoBits
+  protected var bits: Array[Long] = SlicedFrontier.NoBits
 
-  override def newEmpty: Frontier = new SlicedFrontier(prefs, counter)
-
-  override protected def grow(cap: Int): Unit =
-    bits = java.util.Arrays.copyOf(bits, ((cap + 63) >>> 6) * slots)
-
-  override protected def place(o: Obj): Unit = {
+  /** The bitmaps grow one word at a time, not with the columns. */
+  override protected final def place(o: Obj): Unit = {
     var base = (n >>> 6) * slots
+    if (base == bits.length) bits = java.util.Arrays.copyOf(bits, base + slots)
     var a = 0
     while (a < d) {
-      bits(base + o.attrs(a)) |= 1L << n
+      mark(base, prefs(a), o.attrs(a), 1L << n)
       base += prefs(a).domainSize
       a += 1
     }
   }
 
+  /** Set `bit` in the slots for value `v` of the attribute under `rel`,
+    * whose slots in this word start at `bits(base)`.
+    */
+  protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit
+
   /** Shift the positions after `i` down by one in every bitmap. */
-  override protected def cut(i: Int): Unit = {
+  override protected final def cut(i: Int): Unit = {
     val last = (n - 1) >>> 6
     val keep = (1L << i) - 1 // the bits below `i` in its word; 0 when `i % 64 == 0`
     var w = i >>> 6
@@ -70,7 +72,7 @@ final class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
     }
   }
 
-  override protected def drop(gone: List[Obj]): Unit = {
+  override protected final def drop(gone: List[Obj]): Unit = {
     var at = List.empty[Int] // positions, last first
     var rest = gone
     var i = 0
@@ -81,36 +83,16 @@ final class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
     at.foreach(removeAt)
   }
 
-  /** Per attribute, the values at least (`up`) or at most as good as `o`'s under `rels`. */
-  private def cone(o: Obj, rels: Array[PrefRelation], up: Boolean): Array[Array[Int]] = {
+  /** Per attribute, the value list `pick` gives for `o`'s value under `rels`. */
+  protected final def cone(o: Obj, rels: Array[PrefRelation])(pick: (PrefRelation, Int) => Array[Int]): Array[Array[Int]] = {
     val sel = new Array[Array[Int]](d)
     var a = 0
-    while (a < d) {
-      sel(a) = if (up) rels(a).atLeast(o.attrs(a)) else rels(a).atMost(o.attrs(a))
-      a += 1
-    }
+    while (a < d) { sel(a) = pick(rels(a), o.attrs(a)); a += 1 }
     sel
   }
 
-  /** Word `w` of `⋀_a ⋁_{u ∈ sel(a)} eq_a(u)`. */
-  private def word(w: Int, sel: Array[Array[Int]]): Long = {
-    var acc = -1L
-    var base = w * slots
-    var a = 0
-    while (a < d && acc != 0L) {
-      val vs = sel(a)
-      var x = 0L
-      var k = 0
-      while (k < vs.length) { x |= bits(base + vs(k)); k += 1 }
-      acc &= x
-      base += prefs(a).domainSize
-      a += 1
-    }
-    acc
-  }
-
-  /** Word `w` of `I`, the members identical to `o`. */
-  private def same(w: Int, o: Obj): Long = {
+  /** Word `w` of `⋀_a slot(a, o_a)`. */
+  protected final def all(w: Int, o: Obj): Long = {
     var acc = -1L
     var base = w * slots
     var a = 0
@@ -122,33 +104,61 @@ final class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
     acc
   }
 
+  /** Word `w` of `⋀_a (⋁_{v ∈ sel(a)} slot(a, v)) ^ flip`: with `flip = -1`
+    * each attribute's union is complemented, and positions `≥ size` are set.
+    */
+  protected final def any(w: Int, sel: Array[Array[Int]], flip: Long): Long = {
+    var acc = -1L
+    var base = w * slots
+    var a = 0
+    while (a < d && acc != 0L) {
+      val vs = sel(a)
+      var x = 0L
+      var k = 0
+      while (k < vs.length) { x |= bits(base + vs(k)); k += 1 }
+      acc &= x ^ flip
+      base += prefs(a).domainSize
+      a += 1
+    }
+    acc
+  }
+
+  /** The words of `D` and `E` for one object. */
+  protected abstract class Query {
+    def atLeast(w: Int): Long
+    def atMost(w: Int): Long
+    /** `x ∖ I` for `x` inside word `w` of `D` (`inD`) or of `E`. */
+    def butSame(w: Int, x: Long, inD: Boolean): Long = x & ~(if (inD) atMost(w) else atLeast(w))
+  }
+
+  /** `o`'s query under this store's relations. */
+  protected def query(o: Obj): Query
+
   /** The first position in `D` (`D ∖ I` if `strict`), or -1. */
-  private def first(o: Obj, strict: Boolean): Int = {
-    val sel = cone(o, prefs, up = true)
+  private def first(q: Query, strict: Boolean): Int = {
     val words = (n + 63) >>> 6
     var w = 0
     while (w < words) {
-      var x = word(w, sel)
-      if (strict && x != 0L) x &= ~same(w, o)
+      var x = q.atLeast(w)
+      if (strict && x != 0L) x = q.butSame(w, x, inD = true)
       if (x != 0L) return (w << 6) + numberOfTrailingZeros(x)
       w += 1
     }
     -1
   }
 
-  /** The positions below `limit` in `E ∖ I` under `rels`, ascending: the
-    * members `o` dominates under `rels`.
+  /** The positions below `limit` in `E ∖ I`, ascending: the members the
+    * query's object dominates.
     */
-  private def below(o: Obj, rels: Array[PrefRelation], limit: Int): List[Int] = {
-    val sel = cone(o, rels, up = false)
+  protected final def below(q: Query, limit: Int): List[Int] = {
     var at = List.empty[Int]
     var w = ((limit + 63) >>> 6) - 1
     if (w >= 0) {
       val top = if ((limit & 63) == 0) -1L else (1L << limit) - 1
       var mask = top
       while (w >= 0) {
-        var x = word(w, sel) & mask
-        if (x != 0L) x &= ~same(w, o)
+        var x = q.atMost(w) & mask
+        if (x != 0L) x = q.butSame(w, x, inD = false)
         while (x != 0L) {
           val b = 63 - numberOfLeadingZeros(x)
           at ::= (w << 6) + b
@@ -167,11 +177,12 @@ final class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
     * and evicts every member it dominates.
     */
   override def update(o: Obj): UpdateResult = {
-    val p = first(o, strict = false)
+    val q = query(o)
+    val p = first(q, strict = false)
     counter.comparisons += (if (p < 0) n else p + 1)
     if (p >= 0 && !java.util.Arrays.equals(objs(p).attrs, o.attrs)) UpdateResult.Dominated
     else {
-      val at = below(o, prefs, if (p < 0) n else p)
+      val at = below(q, if (p < 0) n else p)
       if (at.isEmpty) { insert(o); UpdateResult.Joined }
       else {
         val removed = at.map(objs(_))
@@ -184,7 +195,7 @@ final class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
 
   /** The scan stops at the first member of `D ∖ I`. */
   override def dominatesNew(o: Obj): Boolean = {
-    val p = first(o, strict = true)
+    val p = first(query(o), strict = true)
     counter.comparisons += (if (p < 0) n else p + 1)
     p >= 0
   }
@@ -192,20 +203,81 @@ final class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCounter)
   /** The scan tests every member. */
   override protected def dominatedBy(o: Obj): List[Obj] = {
     counter.comparisons += n
-    below(o, prefs, n).map(objs(_))
-  }
-
-  /** The scan tests every member `pc` does not hold. `pc`, a member
-    * frontier, holds only members of this filter level (Lemma 1), so that
-    * is `size - pc.size` tests. The bitmaps do not depend on the relations,
-    * so `E ∖ I` under `pc`'s prefs gives the members `out` dominates there.
-    */
-  override protected def freedBy(out: Obj, pc: Frontier): List[Obj] = {
-    pc.counter.comparisons += n - pc.size
-    below(out, pc.prefs, n).map(objs(_)).filterNot(o => pc.contains(o.ts))
+    below(query(o), n).map(objs(_))
   }
 }
 
 object SlicedFrontier {
   private val NoBits = new Array[Long](0)
+}
+
+/** Equality encoding: slot `(a, v)` holds the positions whose value on `a`
+  * is `v`. For an object `o`, `D = ⋀_a ⋁_{u ⪰ o_a} eq_a(u)`,
+  * `E = ⋀_a ⋁_{u ⪯ o_a} eq_a(u)` and `I = ⋀_a eq_a(o_a)`. The bitmaps do not
+  * depend on the relations, so the store answers `E ∖ I` under any others:
+  * it backs a cluster's filter level `P_U` and its buffer `PB_U`, and the
+  * member mend reads its candidates here under each member's relations.
+  */
+final class EqFrontier(prefs: Array[PrefRelation], counter: OpCounter)
+    extends SlicedFrontier(prefs, counter) {
+
+  override def newEmpty: Frontier = new EqFrontier(prefs, counter)
+
+  override protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit =
+    bits(base + v) |= bit
+
+  override protected def query(o: Obj): Query = query(o, prefs)
+
+  private def query(o: Obj, rels: Array[PrefRelation]): Query = new Query {
+    // Each built on the first word that reads it.
+    private var up, down: Array[Array[Int]] = null
+    def atLeast(w: Int): Long = {
+      if (up == null) up = cone(o, rels)(_.atLeast(_))
+      any(w, up, 0L)
+    }
+    def atMost(w: Int): Long = {
+      if (down == null) down = cone(o, rels)(_.atMost(_))
+      any(w, down, 0L)
+    }
+    override def butSame(w: Int, x: Long, inD: Boolean): Long = x & ~all(w, o)
+  }
+
+  /** The scan tests every member `pc` does not hold. `pc`, a member
+    * frontier, holds only members of this filter level (Lemma 1), so that
+    * is `size - pc.size` tests; `E ∖ I` under `pc`'s prefs gives the members
+    * `out` dominates there.
+    */
+  override protected def freedBy(out: Obj, pc: Frontier): List[Obj] = {
+    pc.counter.comparisons += n - pc.size
+    below(query(out, pc.prefs), n).map(objs(_)).filterNot(o => pc.contains(o.ts))
+  }
+}
+
+/** Up-set encoding (range encoding, Chan & Ioannidis, SIGMOD 1998, over a
+  * partial order): slot `(a, v)` holds the positions whose value on `a` is
+  * at least as good as `v`, `U_a(v)`. For an object `o`,
+  * `D = ⋀_a U_a(o_a)`, one load per attribute, and
+  * `E = ⋀_a ¬⋁_{w ∈ minOut(o_a)} U_a(w)`. The bitmaps hold this store's own
+  * relations, so it backs the frontiers that are only read under them:
+  * Baseline users, their buffers, and cluster members' `P_c`.
+  */
+final class UpFrontier(prefs: Array[PrefRelation], counter: OpCounter)
+    extends SlicedFrontier(prefs, counter) {
+
+  override def newEmpty: Frontier = new UpFrontier(prefs, counter)
+
+  override protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit = {
+    val vs = rel.atMost(v)
+    var k = 0
+    while (k < vs.length) { bits(base + vs(k)) |= bit; k += 1 }
+  }
+
+  override protected def query(o: Obj): Query = new Query {
+    private var out: Array[Array[Int]] = null // built on the first word of `E`
+    def atLeast(w: Int): Long = all(w, o)
+    def atMost(w: Int): Long = {
+      if (out == null) out = cone(o, prefs)(_.minOut(_))
+      any(w, out, -1L)
+    }
+  }
 }

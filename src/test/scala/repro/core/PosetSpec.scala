@@ -229,6 +229,37 @@ class PosetSpec extends AnyFunSuite {
         assertOutcomesMatchRows(r, s"$what, attribute $d")
     }
 
+  /** `minOut(v)` against its definition: `¬(v ⪰ u)` iff some `w ∈ minOut(v)`
+    * has `u ⪰ w`, and no member of `minOut(v)` is preferred to another.
+    */
+  private def assertMinOutMatchesPrefers(r: PrefRelation, what: String): Unit = {
+    def atLeast(x: Int, y: Int) = x == y || r.prefers(x, y)
+    for (v <- 0 until r.domainSize) {
+      val out = r.minOut(v)
+      val wrong = (0 until r.domainSize).filter(u => !atLeast(v, u) != out.exists(atLeast(u, _)))
+      assert(wrong.isEmpty, s"$what: v=$v, u in $wrong")
+      assert(!out.exists(x => out.exists(r.prefers(x, _))), s"$what: v=$v, minOut ${out.mkString(",")}")
+    }
+  }
+
+  for (seed <- 0 until 6)
+    test(s"minOut generates the values v is not at least as good as, as an antichain (seed=$seed)") {
+      val rng = new Random(6000 + seed)
+      for (m <- Seq(1, 2, 5, 12, 65, 130)) {
+        val a = randomRelation(rng, m, p = 0.02 + 0.3 * rng.nextDouble())
+        assertMinOutMatchesPrefers(a, s"random m=$m")
+        assertMinOutMatchesPrefers(perturbedRelation(rng, a, addTries = 10), s"perturbed m=$m")
+        assertMinOutMatchesPrefers(PrefRelation.empty(m), s"empty m=$m")
+      }
+      randomUsers(rng, 3, Seq(5, 6, 4)).flatMap(_.rels).foreach(assertMinOutMatchesPrefers(_, "TestGen user"))
+    }
+
+  for (cfg <- prefSimConfigs)
+    test(s"minOut generates the values v is not at least as good as on PrefSim relations (${cfg.name})") {
+      for ((what, rels) <- prefSimRelations(cfg); (r, d) <- rels.zipWithIndex)
+        assertMinOutMatchesPrefers(r, s"$what, attribute $d")
+    }
+
   test("commonOf reduces over many relations") {
     val common = PrefRelation.commonOf(Seq(tableIvC1, tableIvC2, tableIvC5))
     // c5 has none of U1's tuples except (A,S)? c5={(L,A),(L,T),(A,S),(T,S),(L,S)}

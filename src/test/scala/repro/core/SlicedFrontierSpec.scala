@@ -5,26 +5,36 @@ import repro.data.PrefSim
 import scala.util.Random
 import TestGen._
 
-/** The bit-sliced store against the scan store, the count reference, step
-  * by step. Two windowed levels over the same relations, one on each store,
-  * go through one random sequence of every operation the engine uses on a
-  * filter level. After each step both have answered the same, hold the
-  * same members in the same order in `P` and in `PB`, and have counted the
-  * same comparisons. The stores grow past 128 positions, so removals shift
-  * bits across words.
+/** Each bit-sliced store against the scan store, the count reference, step
+  * by step. Two levels over the same relations, one on the scan store and
+  * one on the bit-sliced store under test, go through one random sequence of
+  * every operation the engine uses on a level. After each step both have
+  * answered the same, hold the same members in the same order in `P` and in
+  * `PB`, and have counted the same comparisons. The stores grow past 128
+  * positions, so removals shift bits across words. The equality store runs
+  * on filter relations, as a cluster's filter level; the up-set store runs
+  * on filter relations and, as a Baseline user's level, windowed and
+  * append-only, on user relations.
   */
 class SlicedFrontierSpec extends AnyFunSuite {
 
   private val Steps = 1500
 
-  /** Drive both stores over `filterRels` with objects from `next`. The
-    * member mend builds a member frontier under `memberRels` from `P`'s
-    * members, so that it holds only members of `P`, as Lemma 1 gives.
+  private type Store = (Array[PrefRelation], OpCounter) => Frontier
+  private val eqStore: Store = new EqFrontier(_, _)
+  private val upStore: Store = new UpFrontier(_, _)
+
+  /** Drive the scan store and `store` over `rels` with objects from `next`.
+    * The member mend builds a member frontier under `memberRels` from `P`'s
+    * members, so that it holds only members of `P`, as Lemma 1 gives; on
+    * the bit-sliced side it is an up-set store, as in the engine. An
+    * append-only level has no buffer: its buffer steps become `update`s.
+    * `inserts` of 10 steps insert in the growing phases.
     */
-  private def replay(filterRels: Array[PrefRelation], memberRels: Array[PrefRelation],
-                     rng: Random, next: () => Array[Int]): Unit = {
-    val scan = new Level(new Frontier(filterRels, new OpCounter), windowed = true)
-    val sliced = new Level(new SlicedFrontier(filterRels, new OpCounter), windowed = true)
+  private def replay(store: Store, rels: Array[PrefRelation], memberRels: Array[PrefRelation],
+                     rng: Random, next: () => Array[Int], windowed: Boolean = true, inserts: Int = 7): Unit = {
+    val scan = new Level(new Frontier(rels, new OpCounter), windowed)
+    val sliced = new Level(store(rels, new OpCounter), windowed)
     var ts = 0L
     var largest = 0
     def fresh(): Obj = { ts += 1; Obj(ts, next()) }
@@ -46,32 +56,31 @@ class SlicedFrontierSpec extends AnyFunSuite {
       assert(scan.frontier.counter.comparisons - before._1 == sliced.frontier.counter.comparisons - before._2,
         s"$at: comparisons")
       assert(scan.frontier.objects == sliced.frontier.objects, s"$at: P")
-      assert(scan.buffer.objects == sliced.buffer.objects, s"$at: PB")
-      largest = largest max scan.frontier.size max scan.buffer.size
+      if (windowed) assert(scan.buffer.objects == sliced.buffer.objects, s"$at: PB")
+      largest = largest max scan.frontier.size max (if (windowed) scan.buffer.size else 0)
     }
 
     // Every other phase of 400 steps mostly inserts, so that the stores grow
     // past two words before the phase after it shrinks them.
-    def op(step: Int): Int = if ((step / 400) % 2 == 0 && rng.nextInt(10) < 7) rng.nextInt(3) else rng.nextInt(14)
+    def op(step: Int): Int = if ((step / 400) % 2 == 0 && rng.nextInt(10) < inserts) rng.nextInt(3) else rng.nextInt(14)
     for (step <- 0 until Steps) op(step) match {
       case 0 | 1 => val o = fresh(); both(step, s"P.insert($o)")(_.frontier.insert(o))
-      case 2     => val o = fresh(); both(step, s"PB.insert($o)")(_.buffer.insert(o))
-      case 3     => val o = probe(); both(step, s"update($o)")(_.frontier.update(o))
-      case 4     => val o = probe(); both(step, s"admit($o, windowed)")(_.frontier.admit(o, windowed = true))
+      case 2 if windowed => val o = fresh(); both(step, s"PB.insert($o)")(_.buffer.insert(o))
+      case 4     => val o = probe(); both(step, s"admit($o, $windowed)")(_.frontier.admit(o, windowed))
       case 5     => val o = fresh(); both(step, s"arrive($o)")(_.arrive(o))
       case 6     => val o = probe(); both(step, s"dominatesNew($o)")(_.frontier.dominatesNew(o))
       case 7     => val o = probe(); both(step, s"P.evictDominatedBy($o)")(_.frontier.evictDominatedBy(o))
-      case 8     => val o = probe(); both(step, s"PB.evictDominatedBy($o)")(_.buffer.evictDominatedBy(o))
+      case 8 if windowed => val o = probe(); both(step, s"PB.evictDominatedBy($o)")(_.buffer.evictDominatedBy(o))
       case 9     => member(scan.frontier).foreach(t => both(step, s"P.remove($t)")(_.frontier.remove(t)))
-      case 10    => member(scan.buffer).foreach(t => both(step, s"PB.take($t)")(_.buffer.take(t)))
-      case 11    => val o = probe(); both(step, s"mendFromBuffer($o)")(l => l.frontier.mendFromBuffer(o, l.buffer))
-      case 12    => member(scan.buffer).foreach(t => both(step, s"expire($t)")(_.expire(t)))
-      case _ =>
+      case 10 if windowed => member(scan.buffer).foreach(t => both(step, s"PB.take($t)")(_.buffer.take(t)))
+      case 11 if windowed => val o = probe(); both(step, s"mendFromBuffer($o)")(l => l.frontier.mendFromBuffer(o, l.buffer))
+      case 12 if windowed => member(scan.buffer).foreach(t => both(step, s"expire($t)")(_.expire(t)))
+      case 13 =>
         // The member mend: `out` leaves `P` and the member frontier, whose
         // own counter takes the mend's comparisons.
         val pick = rng.nextInt(Int.MaxValue)
         both(step, "mendFromFilter") { l =>
-          val pc = new Frontier(memberRels, new OpCounter)
+          val pc = if (l eq scan) new Frontier(memberRels, new OpCounter) else upStore(memberRels, new OpCounter)
           l.frontier.objects.foreach(pc.update)
           if (pc.size == 0) None
           else {
@@ -83,34 +92,70 @@ class SlicedFrontierSpec extends AnyFunSuite {
             Some((promoted, pc.objects, pc.counter.comparisons - before))
           }
         }
+      case _ => val o = probe(); both(step, s"update($o)")(_.frontier.update(o))
     }
     assert(largest > 128, s"largest store $largest")
   }
 
-  for (seed <- 0 until 6)
-    test(s"sliced and scan stores agree step by step on TestGen relations (seed=$seed)") {
-      val rng = new Random(500 + seed)
-      val domains = Seq(5, 6, 4)
-      val users = randomUsers(rng, 4, domains)
-      replay(Clustering.commonRels(users), users.head.rels, rng, () => domains.map(rng.nextInt).toArray)
-    }
+  // Filter relations: the exact common relations of TestGen users, sparse
+  // orders on domains of more than 64 values, and the Alg. 3 relations of
+  // PrefSim's latent group 0 over the generator's own Zipf stream ("wide"
+  // has 130- and 70-value domains). The member mend runs under one user's
+  // relations.
+  for ((name, store) <- Seq("sliced" -> eqStore, "up-set" -> upStore)) {
+    for (seed <- 0 until 6)
+      test(s"$name and scan stores agree step by step on TestGen relations (seed=$seed)") {
+        val rng = new Random(500 + seed)
+        val domains = Seq(5, 6, 4)
+        val users = randomUsers(rng, 4, domains)
+        replay(store, Clustering.commonRels(users), users.head.rels, rng, () => domains.map(rng.nextInt).toArray)
+      }
 
-  for (seed <- 0 until 3)
-    test(s"sliced and scan stores agree step by step on domains of more than 64 values (seed=$seed)") {
-      val rng = new Random(600 + seed)
-      val domains = Seq(65 + rng.nextInt(66), 65 + rng.nextInt(66))
-      val filter = domains.map(m => randomRelation(rng, m, 0.05)).toArray
-      val member = filter.map(perturbedRelation(rng, _, drop = 0.0, addTries = 40))
-      replay(filter, member, rng, () => domains.map(rng.nextInt).toArray)
-    }
+    for (seed <- 0 until 3)
+      test(s"$name and scan stores agree step by step on domains of more than 64 values (seed=$seed)") {
+        val rng = new Random(600 + seed)
+        val domains = Seq(65 + rng.nextInt(66), 65 + rng.nextInt(66))
+        val filter = domains.map(m => randomRelation(rng, m, 0.05)).toArray
+        val member = filter.map(perturbedRelation(rng, _, drop = 0.0, addTries = 40))
+        replay(store, filter, member, rng, () => domains.map(rng.nextInt).toArray)
+      }
 
-  // The Alg. 3 filter relations of latent group 0 and one of its users, over
-  // the generator's own Zipf stream; "wide" has 130- and 70-value domains.
-  for (cfg <- prefSimConfigs)
-    test(s"sliced and scan stores agree step by step on PrefSim ${cfg.name} Alg. 3 filter relations") {
-      val rels = prefSimRelations(cfg).toMap
-      val stream = PrefSim.objects(cfg, Steps).iterator
-      replay(rels(s"${cfg.name} Alg. 3"), rels(s"${cfg.name} user 0"), new Random(7),
-        () => stream.next().attrs)
-    }
+    for (cfg <- prefSimConfigs)
+      test(s"$name and scan stores agree step by step on PrefSim ${cfg.name} Alg. 3 filter relations") {
+        val rels = prefSimRelations(cfg).toMap
+        val stream = PrefSim.objects(cfg, Steps).iterator
+        replay(store, rels(s"${cfg.name} Alg. 3"), rels(s"${cfg.name} user 0"), new Random(7),
+          () => stream.next().attrs)
+      }
+  }
+
+  // User relations, as a Baseline user's level: one TestGen user (the mend
+  // under another user's relations), users of dense orders on domains of
+  // more than 64 values, and PrefSim's users 0 and 1. A user's richer order
+  // lets an arrival evict more members, so growing phases insert more.
+  for (windowed <- Seq(true, false)) {
+    for (seed <- 0 until 3)
+      test(s"up-set and scan stores agree step by step on TestGen user relations (seed=$seed, windowed=$windowed)") {
+        val rng = new Random(700 + seed)
+        val domains = Seq(5, 6, 4)
+        val users = randomUsers(rng, 4, domains)
+        replay(upStore, users(0).rels, users(1).rels, rng, () => domains.map(rng.nextInt).toArray, windowed, inserts = 9)
+      }
+    for (seed <- 0 until 2)
+      test(s"up-set and scan stores agree step by step on user relations over more than 64 values (seed=$seed, windowed=$windowed)") {
+        val rng = new Random(800 + seed)
+        val domains = Seq(65 + rng.nextInt(66), 65 + rng.nextInt(66))
+        val base = domains.map(m => randomRelation(rng, m, 0.05)).toArray
+        val user = base.map(perturbedRelation(rng, _, drop = 0.0, addTries = 40))
+        val other = base.map(perturbedRelation(rng, _, drop = 0.0, addTries = 40))
+        replay(upStore, user, other, rng, () => domains.map(rng.nextInt).toArray, windowed, inserts = 9)
+      }
+    for (cfg <- prefSimConfigs)
+      test(s"up-set and scan stores agree step by step on PrefSim ${cfg.name} user relations (windowed=$windowed)") {
+        val rels = prefSimRelations(cfg).toMap
+        val stream = PrefSim.objects(cfg, Steps).iterator
+        replay(upStore, rels(s"${cfg.name} user 0"), rels(s"${cfg.name} user 1"), new Random(8),
+          () => stream.next().attrs, windowed, inserts = 9)
+      }
+  }
 }

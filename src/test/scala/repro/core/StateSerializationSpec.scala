@@ -39,11 +39,14 @@ class StateSerializationSpec extends AnyFunSuite {
     val rels = c.filterRels ++ c.members.flatMap(_.rels)
     val before = rels.map(bytes)
     FilterThenVerify.run(Seq(c), objects, Some(W))
+    // The value lists the bit-sliced stores read are built on first use too.
+    rels.foreach(r => (0 until r.domainSize).foreach(r.minOut))
     rels.zip(before).foreach { case (r, b) => assert(bytes(r).sameElements(b)) }
     rels.foreach { r =>
       val copy = restore[PrefRelation](bytes(r))
       assert(copy == r)
       assert(copy.outcomes.sameElements(r.outcomes))
+      assert((0 until r.domainSize).forall(v => copy.minOut(v).sameElements(r.minOut(v))))
     }
   }
 
