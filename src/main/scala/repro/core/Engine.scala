@@ -58,12 +58,12 @@ final case class RunResult(emissions: Seq[Emission],
   * alive object dominates. A level is all of a Baseline user's state
   * (`P_c`, `PB_c`; Algs. 1/4) and a cluster's filter level (`P_U`, `PB_U`;
   * Algs. 2/5). The state that builds a level chooses the store of `P`, and
-  * `PB` is a store of the same kind.
+  * that store chooses `PB`'s ([[Frontier.newBuffer]]).
   */
 final class Level(val frontier: Frontier, windowed: Boolean) extends Serializable {
 
   /** `PB` in arrival order; never built when append-only. */
-  lazy val buffer: Frontier = frontier.newEmpty
+  lazy val buffer: Frontier = frontier.newBuffer
 
   /** `P`'s size, under the name the `perfbench/` harness reads. */
   def sizeNow: Int = frontier.size
@@ -183,7 +183,12 @@ object FilterThenVerify {
 
   class ClusterState(val cluster: Cluster, val counter: OpCounter = new OpCounter,
                      windowed: Boolean = false) extends EngineState {
-    val filterFrontier = new Level(new EqFrontier(cluster.filterRels, counter), windowed)
+    // Windowed, the member mend reads `P_U` under each member's relations,
+    // which only the equality store answers; append-only, `P_U` is asked
+    // for dominators, which the up-set store answers in `d` loads per word.
+    val filterFrontier = new Level(
+      if (windowed) new EqFrontier(cluster.filterRels, counter) else new UpFrontier(cluster.filterRels, counter),
+      windowed)
     val userFrontiers: Map[Int, Frontier] =
       cluster.members.map(u => u.userId -> new UpFrontier(u.rels, counter)).toMap
     requireUsers(cluster.members, userFrontiers.size, cluster.filterRels, s"cluster ${cluster.clusterId}'s filter")

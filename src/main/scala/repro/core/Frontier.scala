@@ -48,8 +48,12 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   def objects: Seq[Obj] = ArraySeq.unsafeWrapArray(java.util.Arrays.copyOf(objs, n))
   def ids: Set[Long] = tss.iterator.take(n).toSet
 
-  /** An empty frontier of this store over the same relations and counter. */
-  def newEmpty: Frontier = new Frontier(prefs, counter)
+  /** An empty Pareto buffer `PB` for a level whose `P` is this store, over
+    * the same relations and counter. The scan store keeps a scan buffer, so
+    * the count reference is a scan store throughout; the bit-sliced stores
+    * keep theirs in the down-set encoding.
+    */
+  def newBuffer: Frontier = new Frontier(prefs, counter)
 
   /** Position of member `ts` in insertion order, or -1. */
   private def indexOf(ts: Long): Int = {

@@ -48,7 +48,13 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
     * That set is an up-set, so `u` lies in it iff `u` is at least as good as
     * one of them.
     */
-  private[core] def minOut(v: Int): Array[Int] = outside(v)
+  private[core] def minOut(v: Int): Array[Int] = notBelow(v)
+
+  /** The maximal values of those not at least as good as `v`, ascending.
+    * That set is a down-set, so `u` lies in it iff one of them is at least
+    * as good as `u`.
+    */
+  private[core] def maxOut(v: Int): Array[Int] = notAbove(v)
 
   // The value lists the bit-sliced stores read (`SlicedFrontier`), built on
   // first use and transient, like the outcome table.
@@ -56,10 +62,15 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
     Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(u, v)).toArray)
   @transient private lazy val below: Array[Array[Int]] =
     Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(v, u)).toArray)
-  @transient private lazy val outside: Array[Array[Int]] =
+  @transient private lazy val notBelow: Array[Array[Int]] =
     Array.tabulate(domainSize) { v =>
       val out = (0 until domainSize).filterNot(u => u == v || prefers(v, u))
       out.filterNot(u => out.exists(prefers(u, _))).toArray
+    }
+  @transient private lazy val notAbove: Array[Array[Int]] =
+    Array.tabulate(domainSize) { v =>
+      val out = (0 until domainSize).filterNot(u => u == v || prefers(u, v))
+      out.filterNot(u => out.exists(prefers(_, u))).toArray
     }
 
   /** `worse(x)`: the values `y` with `x ≻ y`, as a set (a copy of the row). */

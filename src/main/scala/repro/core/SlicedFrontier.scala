@@ -10,10 +10,10 @@ import java.lang.Long.{numberOfLeadingZeros, numberOfTrailingZeros}
   * Members keep insertion order in two columns, the objects and their
   * timestamps. There is no attribute column: each 64-position word holds one
   * bitmap, a slot, per attribute `a` and value `v`. What slot `(a, v)` holds
-  * is the encoding's ([[EqFrontier]], [[UpFrontier]]); this class keeps the
-  * layout, the removal and the counts. Removal shifts every later position
-  * down by one, in the columns and in the bitmaps; bits at positions
-  * `≥ size` are zero. For an object `o`, each encoding forms word by word
+  * is the encoding's ([[EqFrontier]], [[UpFrontier]], [[DownFrontier]]);
+  * this class keeps the layout, the removal and the counts. Removal shifts
+  * every later position down by one, in the columns and in the bitmaps;
+  * bits at positions `≥ size` are zero. For an object `o`, each encoding forms word by word
   *  - `D`, the members at least as good as `o`, and
   *  - `E`, the members `o` is at least as good as;
   * their intersection `I` holds the members identical to `o`.
@@ -36,6 +36,11 @@ sealed abstract class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCoun
   // one word lie together. Empty stores share the empty array.
   protected var bits: Array[Long] = SlicedFrontier.NoBits
 
+  /** A buffer is only asked which members an object dominates, `E ∖ I`,
+    * which the down-set encoding forms with `d` loads per word.
+    */
+  override final def newBuffer: Frontier = new DownFrontier(prefs, counter)
+
   /** The bitmaps grow one word at a time, not with the columns. */
   override protected final def place(o: Obj): Unit = {
     var base = (n >>> 6) * slots
@@ -52,6 +57,12 @@ sealed abstract class SlicedFrontier(prefs: Array[PrefRelation], counter: OpCoun
     * whose slots in this word start at `bits(base)`.
     */
   protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit
+
+  /** Set `bit` in the slots of every value in `vs`. */
+  protected final def markEach(base: Int, vs: Array[Int], bit: Long): Unit = {
+    var k = 0
+    while (k < vs.length) { bits(base + vs(k)) |= bit; k += 1 }
+  }
 
   /** Shift the positions after `i` down by one in every bitmap. */
   override protected final def cut(i: Int): Unit = {
@@ -215,13 +226,11 @@ object SlicedFrontier {
   * is `v`. For an object `o`, `D = ⋀_a ⋁_{u ⪰ o_a} eq_a(u)`,
   * `E = ⋀_a ⋁_{u ⪯ o_a} eq_a(u)` and `I = ⋀_a eq_a(o_a)`. The bitmaps do not
   * depend on the relations, so the store answers `E ∖ I` under any others:
-  * it backs a cluster's filter level `P_U` and its buffer `PB_U`, and the
-  * member mend reads its candidates here under each member's relations.
+  * it backs a windowed cluster's filter level `P_U`, where the member mend
+  * reads its candidates under each member's relations.
   */
 final class EqFrontier(prefs: Array[PrefRelation], counter: OpCounter)
     extends SlicedFrontier(prefs, counter) {
-
-  override def newEmpty: Frontier = new EqFrontier(prefs, counter)
 
   override protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit =
     bits(base + v) |= bit
@@ -258,19 +267,15 @@ final class EqFrontier(prefs: Array[PrefRelation], counter: OpCounter)
   * at least as good as `v`, `U_a(v)`. For an object `o`,
   * `D = ⋀_a U_a(o_a)`, one load per attribute, and
   * `E = ⋀_a ¬⋁_{w ∈ minOut(o_a)} U_a(w)`. The bitmaps hold this store's own
-  * relations, so it backs the frontiers that are only read under them:
-  * Baseline users, their buffers, and cluster members' `P_c`.
+  * relations, so it backs the frontiers that are only read under them and
+  * asked most for a dominator: Baseline users, cluster members' `P_c`, and
+  * an append-only cluster's filter level `P_U`.
   */
 final class UpFrontier(prefs: Array[PrefRelation], counter: OpCounter)
     extends SlicedFrontier(prefs, counter) {
 
-  override def newEmpty: Frontier = new UpFrontier(prefs, counter)
-
-  override protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit = {
-    val vs = rel.atMost(v)
-    var k = 0
-    while (k < vs.length) { bits(base + vs(k)) |= bit; k += 1 }
-  }
+  override protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit =
+    markEach(base, rel.atMost(v), bit)
 
   override protected def query(o: Obj): Query = new Query {
     private var out: Array[Array[Int]] = null // built on the first word of `E`
@@ -279,5 +284,30 @@ final class UpFrontier(prefs: Array[PrefRelation], counter: OpCounter)
       if (out == null) out = cone(o, prefs)(_.minOut(_))
       any(w, out, -1L)
     }
+  }
+}
+
+/** Down-set encoding, the mirror of [[UpFrontier]]: slot `(a, v)` holds the
+  * positions whose value on `a` is at most as good as `v`, `L_a(v)`. For an
+  * object `o`, `E = ⋀_a L_a(o_a)`, one load per attribute, and
+  * `D = ⋀_a ¬⋁_{w ∈ maxOut(o_a)} L_a(w)`. It backs every Pareto buffer of a
+  * bit-sliced level ([[SlicedFrontier.newBuffer]]).
+  */
+final class DownFrontier(prefs: Array[PrefRelation], counter: OpCounter)
+    extends SlicedFrontier(prefs, counter) {
+
+  override protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit =
+    markEach(base, rel.atLeast(v), bit)
+
+  override protected def query(o: Obj): Query = new Query {
+    private var out: Array[Array[Int]] = null // built on the first word of `D`
+    // The complement sets the positions at and above the size; `first`
+    // reads `D` unmasked, so they are cleared here.
+    def atLeast(w: Int): Long = {
+      if (out == null) out = cone(o, prefs)(_.maxOut(_))
+      val x = any(w, out, -1L)
+      if (w == n >>> 6) x & ((1L << n) - 1) else x
+    }
+    def atMost(w: Int): Long = all(w, o)
   }
 }

@@ -260,6 +260,37 @@ class PosetSpec extends AnyFunSuite {
         assertMinOutMatchesPrefers(r, s"$what, attribute $d")
     }
 
+  /** `maxOut(v)` against its definition: `¬(u ⪰ v)` iff some `w ∈ maxOut(v)`
+    * has `w ⪰ u`, and no member of `maxOut(v)` is preferred to another.
+    */
+  private def assertMaxOutMatchesPrefers(r: PrefRelation, what: String): Unit = {
+    def atLeast(x: Int, y: Int) = x == y || r.prefers(x, y)
+    for (v <- 0 until r.domainSize) {
+      val out = r.maxOut(v)
+      val wrong = (0 until r.domainSize).filter(u => !atLeast(u, v) != out.exists(atLeast(_, u)))
+      assert(wrong.isEmpty, s"$what: v=$v, u in $wrong")
+      assert(!out.exists(x => out.exists(r.prefers(x, _))), s"$what: v=$v, maxOut ${out.mkString(",")}")
+    }
+  }
+
+  for (seed <- 0 until 6)
+    test(s"maxOut generates the values not at least as good as v, as an antichain (seed=$seed)") {
+      val rng = new Random(6100 + seed)
+      for (m <- Seq(1, 2, 5, 12, 65, 130)) {
+        val a = randomRelation(rng, m, p = 0.02 + 0.3 * rng.nextDouble())
+        assertMaxOutMatchesPrefers(a, s"random m=$m")
+        assertMaxOutMatchesPrefers(perturbedRelation(rng, a, addTries = 10), s"perturbed m=$m")
+        assertMaxOutMatchesPrefers(PrefRelation.empty(m), s"empty m=$m")
+      }
+      randomUsers(rng, 3, Seq(5, 6, 4)).flatMap(_.rels).foreach(assertMaxOutMatchesPrefers(_, "TestGen user"))
+    }
+
+  for (cfg <- prefSimConfigs)
+    test(s"maxOut generates the values not at least as good as v on PrefSim relations (${cfg.name})") {
+      for ((what, rels) <- prefSimRelations(cfg); (r, d) <- rels.zipWithIndex)
+        assertMaxOutMatchesPrefers(r, s"$what, attribute $d")
+    }
+
   test("commonOf reduces over many relations") {
     val common = PrefRelation.commonOf(Seq(tableIvC1, tableIvC2, tableIvC5))
     // c5 has none of U1's tuples except (A,S)? c5={(L,A),(L,T),(A,S),(T,S),(L,S)}

@@ -11,10 +11,13 @@ import TestGen._
   * every operation the engine uses on a level. After each step both have
   * answered the same, hold the same members in the same order in `P` and in
   * `PB`, and have counted the same comparisons. The stores grow past 128
-  * positions, so removals shift bits across words. The equality store runs
-  * on filter relations, as a cluster's filter level; the up-set store runs
-  * on filter relations and, as a Baseline user's level, windowed and
-  * append-only, on user relations.
+  * positions, so removals shift bits across words. A bit-sliced level's
+  * `PB` is always the down-set store, so every windowed case checks it
+  * against the scan buffer. On filter relations the equality, up-set and
+  * down-set stores run as a windowed cluster's filter level `P`, and the
+  * up-set store also append-only, as an append-only cluster's `P_U`; the
+  * up-set store runs as a Baseline user's level, windowed and append-only,
+  * on user relations.
   */
 class SlicedFrontierSpec extends AnyFunSuite {
 
@@ -23,6 +26,7 @@ class SlicedFrontierSpec extends AnyFunSuite {
   private type Store = (Array[PrefRelation], OpCounter) => Frontier
   private val eqStore: Store = new EqFrontier(_, _)
   private val upStore: Store = new UpFrontier(_, _)
+  private val downStore: Store = new DownFrontier(_, _)
 
   /** Drive the scan store and `store` over `rels` with objects from `next`.
     * The member mend builds a member frontier under `memberRels` from `P`'s
@@ -32,9 +36,10 @@ class SlicedFrontierSpec extends AnyFunSuite {
     * `inserts` of 10 steps insert in the growing phases.
     */
   private def replay(store: Store, rels: Array[PrefRelation], memberRels: Array[PrefRelation],
-                     rng: Random, next: () => Array[Int], windowed: Boolean = true, inserts: Int = 7): Unit = {
+                     rng: Random, next: () => Array[Int], windowed: Boolean, inserts: Int = 7): Unit = {
     val scan = new Level(new Frontier(rels, new OpCounter), windowed)
     val sliced = new Level(store(rels, new OpCounter), windowed)
+    if (windowed) assert(sliced.buffer.isInstanceOf[DownFrontier])
     var ts = 0L
     var largest = 0
     def fresh(): Obj = { ts += 1; Obj(ts, next()) }
@@ -101,31 +106,34 @@ class SlicedFrontierSpec extends AnyFunSuite {
   // orders on domains of more than 64 values, and the Alg. 3 relations of
   // PrefSim's latent group 0 over the generator's own Zipf stream ("wide"
   // has 130- and 70-value domains). The member mend runs under one user's
-  // relations.
-  for ((name, store) <- Seq("sliced" -> eqStore, "up-set" -> upStore)) {
+  // relations. Append-only cases carry the suffix `, append-only`.
+  for ((name, store, windowed) <- Seq(("sliced", eqStore, true), ("up-set", upStore, true),
+                                      ("down-set", downStore, true), ("up-set", upStore, false))) {
+    val mode = if (windowed) "" else ", append-only"
     for (seed <- 0 until 6)
-      test(s"$name and scan stores agree step by step on TestGen relations (seed=$seed)") {
+      test(s"$name and scan stores agree step by step on TestGen relations (seed=$seed$mode)") {
         val rng = new Random(500 + seed)
         val domains = Seq(5, 6, 4)
         val users = randomUsers(rng, 4, domains)
-        replay(store, Clustering.commonRels(users), users.head.rels, rng, () => domains.map(rng.nextInt).toArray)
+        replay(store, Clustering.commonRels(users), users.head.rels, rng, () => domains.map(rng.nextInt).toArray,
+          windowed)
       }
 
     for (seed <- 0 until 3)
-      test(s"$name and scan stores agree step by step on domains of more than 64 values (seed=$seed)") {
+      test(s"$name and scan stores agree step by step on domains of more than 64 values (seed=$seed$mode)") {
         val rng = new Random(600 + seed)
         val domains = Seq(65 + rng.nextInt(66), 65 + rng.nextInt(66))
         val filter = domains.map(m => randomRelation(rng, m, 0.05)).toArray
         val member = filter.map(perturbedRelation(rng, _, drop = 0.0, addTries = 40))
-        replay(store, filter, member, rng, () => domains.map(rng.nextInt).toArray)
+        replay(store, filter, member, rng, () => domains.map(rng.nextInt).toArray, windowed)
       }
 
     for (cfg <- prefSimConfigs)
-      test(s"$name and scan stores agree step by step on PrefSim ${cfg.name} Alg. 3 filter relations") {
+      test(s"$name and scan stores agree step by step on PrefSim ${cfg.name} Alg. 3 filter relations$mode") {
         val rels = prefSimRelations(cfg).toMap
         val stream = PrefSim.objects(cfg, Steps).iterator
         replay(store, rels(s"${cfg.name} Alg. 3"), rels(s"${cfg.name} user 0"), new Random(7),
-          () => stream.next().attrs)
+          () => stream.next().attrs, windowed)
       }
   }
 

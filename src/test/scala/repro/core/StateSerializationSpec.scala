@@ -41,12 +41,14 @@ class StateSerializationSpec extends AnyFunSuite {
     FilterThenVerify.run(Seq(c), objects, Some(W))
     // The value lists the bit-sliced stores read are built on first use too.
     rels.foreach(r => (0 until r.domainSize).foreach(r.minOut))
+    rels.foreach(r => (0 until r.domainSize).foreach(r.maxOut))
     rels.zip(before).foreach { case (r, b) => assert(bytes(r).sameElements(b)) }
     rels.foreach { r =>
       val copy = restore[PrefRelation](bytes(r))
       assert(copy == r)
       assert(copy.outcomes.sameElements(r.outcomes))
       assert((0 until r.domainSize).forall(v => copy.minOut(v).sameElements(r.minOut(v))))
+      assert((0 until r.domainSize).forall(v => copy.maxOut(v).sameElements(r.maxOut(v))))
     }
   }
 
