@@ -110,28 +110,39 @@ sealed abstract class EngineState extends Serializable {
     * answer a value outside it with another value's entry.
     */
   protected final def requireFits(o: Obj, rels: Array[PrefRelation]): Unit = {
-    require(o.attrs.length == rels.length,
-      s"object ${o.ts} has ${o.attrs.length} attributes, the preferences ${rels.length}")
+    // Thrown, not `require`d: a by-name message would allocate a closure per arrival.
+    if (o.attrs.length != rels.length)
+      throw new IllegalArgumentException(
+        s"requirement failed: object ${o.ts} has ${o.attrs.length} attributes, the preferences ${rels.length}")
     var d = 0
     while (d < rels.length) {
       val v = o.attrs(d)
-      require(v >= 0 && v < rels(d).domainSize,
-        s"object ${o.ts}: value $v of attribute $d is outside its domain 0 until ${rels(d).domainSize}")
+      if (v < 0 || v >= rels(d).domainSize)
+        throw new IllegalArgumentException(
+          s"requirement failed: object ${o.ts}: value $v of attribute $d is outside its domain 0 until ${rels(d).domainSize}")
       d += 1
     }
   }
 
-  /** Rejects, at construction, two users with one id (`keys` is the
-    * number of ids the state keeps a frontier for), and a user whose
-    * attribute count or domain sizes differ from `rels`, the relations
-    * [[requireFits]] checks arrivals against (`of` names their owner). The
-    * first would share the other's frontier; for the second, an arrival
-    * that fits `rels` could read another value's outcome-table entry.
+  /** Rejects, at construction, two users with one id (`ids` are the users'
+    * ids in input order), and a user whose attribute count or domain sizes
+    * differ from `rels`, the relations [[requireFits]] checks arrivals
+    * against (`of` names their owner). The first would share the other's
+    * frontier; for the second, an arrival that fits `rels` could read
+    * another value's outcome-table entry.
     */
-  protected final def requireUsers(users: Seq[UserPrefs], keys: Int, rels: Array[PrefRelation], of: => String): Unit = {
-    require(keys == users.size, s"user ${users.groupBy(_.userId).maxBy(_._2.size)._1}: two users have this id")
+  protected final def requireUsers(users: Seq[UserPrefs], ids: Array[Int], rels: Array[PrefRelation], of: => String): Unit = {
+    val sorted = ids.clone()
+    java.util.Arrays.sort(sorted)
+    var i = 1
+    while (i < sorted.length && sorted(i) != sorted(i - 1)) i += 1
+    if (i < sorted.length)
+      throw new IllegalArgumentException(s"requirement failed: user ${sorted(i)}: two users have this id")
     UserPrefs.requireDomains(users, rels, of)
   }
+
+  /** The id-keyed view of a per-user array: `xs(i)` is user `ids(i)`'s. */
+  protected final def byId[A](ids: Array[Int], xs: Array[A]): Map[Int, A] = ids.iterator.zip(xs.iterator).toMap
 }
 
 /** Algorithms 1 and 4 (Baseline, BaselineSW): every user keeps their own
@@ -141,21 +152,41 @@ object Baseline {
 
   final class State(users: Seq[UserPrefs], val counter: OpCounter = new OpCounter, windowed: Boolean = false)
       extends EngineState {
-    val frontiers: Map[Int, Level] =
-      users.map(u => u.userId -> new Level(new UpFrontier(u.rels, counter), windowed)).toMap
-    def userFrontiers: Map[Int, Frontier] = frontiers.map { case (uid, l) => uid -> l.frontier }
+    // User `ids(i)` keeps `levels(i)`, in input order.
+    private val ids = users.iterator.map(_.userId).toArray
     // Arrivals are checked against the first user's domains, which every
     // user must share.
     private val rels = users.headOption.map(_.rels)
-    rels.foreach(requireUsers(users, frontiers.size, _, s"user ${users.head.userId}"))
+    rels.foreach(requireUsers(users, ids, _, s"user ${users.head.userId}"))
+    private val levels = users.iterator.map(u => new Level(new UpFrontier(u.rels, counter), windowed)).toArray
+
+    // Id-keyed views of the arrays, built on first use; they do not travel.
+    @transient lazy val frontiers: Map[Int, Level] = byId(ids, levels)
+    @transient lazy val userFrontiers: Map[Int, Frontier] = byId(ids, levels.map(_.frontier))
 
     def onArrival(o: Obj): Set[Int] = {
       rels.foreach(requireFits(o, _))
-      frontiers.iterator.collect { case (uid, f) if f.arrive(o).isPareto => uid }.toSet
+      var to = Set.empty[Int]
+      var i = 0
+      while (i < levels.length) {
+        if (levels(i).arrive(o).isPareto) to += ids(i)
+        i += 1
+      }
+      to
     }
 
-    def onExpiry(outTs: Long): Map[Int, Seq[Obj]] =
-      frontiers.flatMap { case (uid, f) => f.expire(outTs).filter(_.nonEmpty).map(uid -> _) }
+    def onExpiry(outTs: Long): Map[Int, Seq[Obj]] = {
+      var promoted = Map.empty[Int, Seq[Obj]]
+      var i = 0
+      while (i < levels.length) {
+        levels(i).expire(outTs) match {
+          case Some(ps) if ps.nonEmpty => promoted += ids(i) -> ps
+          case _                       =>
+        }
+        i += 1
+      }
+      promoted
+    }
   }
 
   /** Replay `objects` for all `users`; `window = Some(w)` is BaselineSW. */
@@ -189,26 +220,51 @@ object FilterThenVerify {
     val filterFrontier = new Level(
       if (windowed) new EqFrontier(cluster.filterRels, counter) else new UpFrontier(cluster.filterRels, counter),
       windowed)
-    val userFrontiers: Map[Int, Frontier] =
-      cluster.members.map(u => u.userId -> new UpFrontier(u.rels, counter)).toMap
-    requireUsers(cluster.members, userFrontiers.size, cluster.filterRels, s"cluster ${cluster.clusterId}'s filter")
+    // Member `ids(i)` keeps `members(i)`, their `P_c`, in input order.
+    private val ids = cluster.members.iterator.map(_.userId).toArray
+    requireUsers(cluster.members, ids, cluster.filterRels, s"cluster ${cluster.clusterId}'s filter")
+    private val members: Array[Frontier] = cluster.members.iterator.map(u => new UpFrontier(u.rels, counter)).toArray
+
+    // The id-keyed view of the array, built on first use; it does not travel.
+    @transient lazy val userFrontiers: Map[Int, Frontier] = byId(ids, members)
     def buffer: Frontier = filterFrontier.buffer
 
     def onArrival(o: Obj): Set[Int] = {
       requireFits(o, cluster.filterRels)
       val res = filterFrontier.arrive(o) // updateParetoFrontierU(SW)
-      res.removed.foreach(gone => userFrontiers.valuesIterator.foreach(_.remove(gone.ts)))
-      if (!res.isPareto) Set.empty
-      else userFrontiers.iterator.collect { case (uid, f) if f.admit(o, windowed).isPareto => uid }.toSet
+      res.removed.foreach { gone =>
+        var i = 0
+        while (i < members.length) { members(i).remove(gone.ts); i += 1 }
+      }
+      var to = Set.empty[Int]
+      if (res.isPareto) {
+        var i = 0
+        while (i < members.length) {
+          if (members(i).admit(o, windowed).isPareto) to += ids(i)
+          i += 1
+        }
+      }
+      to
     }
 
-    def onExpiry(outTs: Long): Map[Int, Seq[Obj]] =
-      if (filterFrontier.expire(outTs).isEmpty) Map.empty // mendParetoFrontierUSW
-      else
+    def onExpiry(outTs: Long): Map[Int, Seq[Obj]] = {
+      var promoted = Map.empty[Int, Seq[Obj]]
+      if (filterFrontier.expire(outTs).nonEmpty) { // mendParetoFrontierUSW
         // Per-member mend: only members that held o_out can gain objects.
-        userFrontiers.flatMap { case (uid, pc) =>
-          pc.take(outTs).map(pc.mendFromFilter(_, filterFrontier.frontier)).filter(_.nonEmpty).map(uid -> _)
+        var i = 0
+        while (i < members.length) {
+          val pc = members(i)
+          pc.take(outTs) match {
+            case Some(out) =>
+              val ps = pc.mendFromFilter(out, filterFrontier.frontier)
+              if (ps.nonEmpty) promoted += ids(i) -> ps
+            case None =>
+          }
+          i += 1
         }
+      }
+      promoted
+    }
   }
 
   /** Replay `objects` over all clusters; `window = Some(w)` is FilterThenVerifySW. */

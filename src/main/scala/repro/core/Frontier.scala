@@ -39,6 +39,10 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   private var attrs: Array[Int] = Frontier.NoInts
   protected var tss: Array[Long] = Frontier.NoLongs
   protected var objs: Array[Obj] = Frontier.NoObjs
+  // Whether the timestamps ascend in insertion order. Arrivals come in
+  // timestamp order, so only a window mend's promotion of an older object
+  // clears it; an empty store ascends again.
+  private var ascending = true
 
   /** Number of members. */
   def size: Int = n
@@ -55,12 +59,16 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     */
   def newBuffer: Frontier = new Frontier(prefs, counter)
 
-  /** Position of member `ts` in insertion order, or -1. */
-  private def indexOf(ts: Long): Int = {
-    var i = 0
-    while (i < n && tss(i) != ts) i += 1
-    if (i < n) i else -1
-  }
+  /** Position of member `ts` in insertion order, or -1: a binary search
+    * while the timestamps ascend, a scan otherwise.
+    */
+  private def indexOf(ts: Long): Int =
+    if (ascending) math.max(java.util.Arrays.binarySearch(tss, 0, n, ts), -1)
+    else {
+      var i = 0
+      while (i < n && tss(i) != ts) i += 1
+      if (i < n) i else -1
+    }
 
   /** Alg. 1 `updateParetoFrontier`: compare `o` sequentially with current
     * members. Dominated or identical stops the scan (identical is still
@@ -122,6 +130,7 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
       tss = java.util.Arrays.copyOf(tss, cap)
       objs = java.util.Arrays.copyOf(objs, cap)
     }
+    ascending = n == 0 || (ascending && o.ts > tss(n - 1))
     place(o)
     tss(n) = o.ts
     objs(n) = o

@@ -100,6 +100,36 @@ class FrontierSpec extends AnyFunSuite {
     assert(f.counter.comparisons - before == 3)
   }
 
+  test("timestamp lookups answer after an out-of-order insert, and after the store empties and refills") {
+    // Under the empty order, distinct values are incomparable.
+    val prefs = Array(PrefRelation.empty(8))
+    val counter = new OpCounter
+    for (f <- Seq(new Frontier(prefs, counter), new EqFrontier(prefs, counter),
+                  new UpFrontier(prefs, counter), new DownFrontier(prefs, counter))) {
+      def fill(tss: Long*): Unit = tss.foreach(ts => f.insert(Obj(ts, Array((ts % 8).toInt))))
+      def lookups(in: Seq[Long], out: Seq[Long]): Unit = {
+        assert(in.forall(f.contains) && !out.exists(f.contains), s"${f.getClass.getSimpleName}: ${f.objects.map(_.ts)}")
+        assert(f.objects.map(_.ts).toSet == in.toSet)
+      }
+      fill(10, 20, 30, 40)
+      lookups(Seq(10, 20, 30, 40), Seq(5, 15, 50))
+      // A window mend promotes an older object.
+      fill(5)
+      lookups(Seq(10, 20, 30, 40, 5), Seq(15, 50))
+      assert(f.take(5).map(_.ts).contains(5L) && f.take(5).isEmpty)
+      assert(f.remove(30) && !f.remove(30))
+      lookups(Seq(10, 20, 40), Seq(5, 30))
+      Seq(10L, 20L, 40L).foreach(ts => assert(f.remove(ts)))
+      lookups(Nil, Seq(10, 20, 40))
+      fill(60, 70, 80)
+      lookups(Seq(60, 70, 80), Seq(10, 65))
+      fill(65)
+      lookups(Seq(60, 70, 80, 65), Seq(10, 75))
+      assert(f.take(65).map(_.ts).contains(65L) && f.remove(80) && !f.remove(65))
+      lookups(Seq(60, 70), Seq(65, 80))
+    }
+  }
+
   test("dominatesNew does not mutate the frontier") {
     val f = mkFrontier(Array(cpuC1))
     f.update(Obj(1, Array(Dual)))

@@ -43,6 +43,14 @@ class StateConstructionSpec extends AnyFunSuite {
     rejects("user 1: two users have this id")(FilterThenVerify.run(Seq(Cluster(0, chain5.rels, Seq(chain5, again))), objects))
   }
 
+  test("a repeated id is rejected when other users stand between the two") {
+    val users = Seq(chain5, UserPrefs(5, chain5.rels), UserPrefs(1, Array(PrefRelation.empty(5))))
+    for (window <- Seq(None, Some(2))) {
+      rejects("user 1: two users have this id")(Baseline.run(users, objects, window))
+      rejects("user 1: two users have this id")(FilterThenVerify.run(Seq(Cluster(0, chain5.rels, users)), objects, window))
+    }
+  }
+
   test("a user id in two clusters of one replay is rejected") {
     val clusters = Seq(Cluster(0, chain5.rels, Seq(chain5)), Cluster(1, chain5.rels, Seq(chain5)))
     rejects("user 1: in two states of one replay")(FilterThenVerify.run(clusters, objects))
