@@ -57,8 +57,8 @@ final case class RunResult(emissions: Seq[Emission],
   * (Thm. 5), and the frontier is always the set of `PB` members no other
   * alive object dominates. A level is all of a Baseline user's state
   * (`P_c`, `PB_c`; Algs. 1/4) and a cluster's filter level (`P_U`, `PB_U`;
-  * Algs. 2/5). The state that builds a level chooses the store of `P`, and
-  * that store chooses `PB`'s ([[Frontier.newBuffer]]).
+  * Algs. 2/5). The state that builds a level chooses the store of `P`;
+  * `PB` is a down-set store ([[Frontier.newBuffer]]).
   */
 final class Level(val frontier: Frontier, windowed: Boolean) extends Serializable {
 
@@ -100,14 +100,19 @@ final class Level(val frontier: Frontier, windowed: Boolean) extends Serializabl
   * object is Pareto-optimal now; `onExpiry` the objects promoted per user.
   */
 sealed abstract class EngineState extends Serializable {
+  /** Whether the state runs the windowed algorithms (Algs. 4/5), with
+    * Pareto buffers and a mend on expiry; [[Replay]] drives it only with a
+    * window.
+    */
+  def windowed: Boolean
   def userFrontiers: Map[Int, Frontier]
   def onArrival(o: Obj): Set[Int]
   def onExpiry(outTs: Long): Map[Int, Seq[Obj]]
   def frontierIds: Map[Int, Set[Long]] = userFrontiers.map { case (u, f) => u -> f.ids }
 
   /** Rejects an arrival without one value per attribute of `rels`, each
-    * inside that attribute's domain: the kernel's outcome table would
-    * answer a value outside it with another value's entry.
+    * inside that attribute's domain: a store would read a value outside it
+    * from another attribute's slot.
     */
   protected final def requireFits(o: Obj, rels: Array[PrefRelation]): Unit = {
     // Thrown, not `require`d: a by-name message would allocate a closure per arrival.
@@ -129,7 +134,7 @@ sealed abstract class EngineState extends Serializable {
     * differ from `rels`, the relations [[requireFits]] checks arrivals
     * against (`of` names their owner). The first would share the other's
     * frontier; for the second, an arrival that fits `rels` could read
-    * another value's outcome-table entry.
+    * another attribute's slot.
     */
   protected final def requireUsers(users: Seq[UserPrefs], ids: Array[Int], rels: Array[PrefRelation], of: => String): Unit = {
     val sorted = ids.clone()
@@ -150,7 +155,7 @@ sealed abstract class EngineState extends Serializable {
   */
 object Baseline {
 
-  final class State(users: Seq[UserPrefs], val counter: OpCounter = new OpCounter, windowed: Boolean = false)
+  final class State(users: Seq[UserPrefs], val counter: OpCounter = new OpCounter, val windowed: Boolean = false)
       extends EngineState {
     // User `ids(i)` keeps `levels(i)`, in input order.
     private val ids = users.iterator.map(_.userId).toArray
@@ -158,7 +163,7 @@ object Baseline {
     // user must share.
     private val rels = users.headOption.map(_.rels)
     rels.foreach(requireUsers(users, ids, _, s"user ${users.head.userId}"))
-    private val levels = users.iterator.map(u => new Level(new UpFrontier(u.rels, counter), windowed)).toArray
+    private val levels = users.iterator.map(u => new Level(new Frontier(u.rels, counter), windowed)).toArray
 
     // Id-keyed views of the arrays, built on first use; they do not travel.
     @transient lazy val frontiers: Map[Int, Level] = byId(ids, levels)
@@ -213,17 +218,16 @@ object Baseline {
 object FilterThenVerify {
 
   class ClusterState(val cluster: Cluster, val counter: OpCounter = new OpCounter,
-                     windowed: Boolean = false) extends EngineState {
+                     val windowed: Boolean = false) extends EngineState {
     // Windowed, the member mend reads `P_U` under each member's relations,
     // which only the equality store answers; append-only, `P_U` is asked
     // for dominators, which the up-set store answers in `d` loads per word.
-    val filterFrontier = new Level(
-      if (windowed) new EqFrontier(cluster.filterRels, counter) else new UpFrontier(cluster.filterRels, counter),
-      windowed)
+    private val mendSource = Option.when(windowed)(new EqFrontier(cluster.filterRels, counter))
+    val filterFrontier = new Level(mendSource.getOrElse(new Frontier(cluster.filterRels, counter)), windowed)
     // Member `ids(i)` keeps `members(i)`, their `P_c`, in input order.
     private val ids = cluster.members.iterator.map(_.userId).toArray
     requireUsers(cluster.members, ids, cluster.filterRels, s"cluster ${cluster.clusterId}'s filter")
-    private val members: Array[Frontier] = cluster.members.iterator.map(u => new UpFrontier(u.rels, counter)).toArray
+    private val members: Array[Frontier] = cluster.members.iterator.map(u => new Frontier(u.rels, counter)).toArray
 
     // The id-keyed view of the array, built on first use; it does not travel.
     @transient lazy val userFrontiers: Map[Int, Frontier] = byId(ids, members)
@@ -249,14 +253,14 @@ object FilterThenVerify {
 
     def onExpiry(outTs: Long): Map[Int, Seq[Obj]] = {
       var promoted = Map.empty[Int, Seq[Obj]]
-      if (filterFrontier.expire(outTs).nonEmpty) { // mendParetoFrontierUSW
+      for (filter <- mendSource if filterFrontier.expire(outTs).nonEmpty) { // mendParetoFrontierUSW
         // Per-member mend: only members that held o_out can gain objects.
         var i = 0
         while (i < members.length) {
           val pc = members(i)
           pc.take(outTs) match {
             case Some(out) =>
-              val ps = pc.mendFromFilter(out, filterFrontier.frontier)
+              val ps = pc.mendFromFilter(out, filter)
               if (ps.nonEmpty) promoted += ids(i) -> ps
             case None =>
           }
@@ -287,10 +291,15 @@ object FilterThenVerifySW {
   * timestamp order. With a count-based window of `W` (Sec. VII), the
   * arrival of `o_in` first expires the object `W` arrivals older, so the
   * window holds timestamps `(in − W, in]`. `W` must be positive: a smaller
-  * one would expire each arrival before it is admitted.
+  * one would expire each arrival before it is admitted. Every state must be
+  * built for the replay's mode: an append-only state keeps no buffer to mend
+  * from, and a windowed one expects expiries.
   */
 final class Replay(states: Seq[EngineState], window: Option[Int]) extends Serializable {
   window.foreach(w => require(w > 0, s"window $w: a count-based window must hold at least one object"))
+  private def mode(windowed: Boolean) = if (windowed) "windowed" else "append-only"
+  require(states.forall(_.windowed == window.isDefined),
+    s"window $window: the replay is ${mode(window.isDefined)}, a state is ${mode(!window.isDefined)}")
   // A user id names one frontier in `frontiers`.
   require(states.map(_.userFrontiers.size).sum == frontiers.size,
     s"user ${states.flatMap(_.userFrontiers.keys).groupBy(identity).maxBy(_._2.size)._1}: in two states of one replay")

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.lang.Long.{bitCount, numberOfLeadingZeros, numberOfTrailingZeros}
 import scala.collection.immutable.ArraySeq
 
 /** Result of pushing a new object through a frontier (Alg. 1 procedure
@@ -16,33 +17,61 @@ object UpdateResult {
 }
 
 /** Incremental Pareto frontier under a fixed preference-relation vector
-  * (one strict partial order per attribute). This is the paper's Alg. 1
-  * inner procedure.
+  * (one strict partial order per attribute): the paper's Alg. 1 inner
+  * procedure, and the window mends of Algs. 4/5.
   *
-  * This class is the scan store, the reference for every comparison count.
-  * Members are stored in insertion order in three columns: their attribute
-  * values, `d = prefs.length` per member in one flat array, their
-  * timestamps, and the objects themselves. Every scan walks the columns in
-  * that order, so sequential comparison order matches the paper's
-  * description and fixes the comparison counts; removal compacts the
-  * columns and keeps the order. A timestamp identifies its member: each is
-  * inserted at most once. The bit-sliced stores ([[SlicedFrontier]]), which
-  * the engine runs, answer the same operations with the same results and
-  * counts from bitmaps over the positions.
+  * The store is bit-sliced, the Bitmap skyline (Tan, Eng & Ooi, VLDB 2001)
+  * with one bit per frontier position and a partial order per attribute.
+  * Members keep insertion order in two columns, the objects and their
+  * timestamps; a timestamp identifies its member, as each is inserted at
+  * most once. Each 64-position word holds one bitmap, a slot, per attribute
+  * `a` and value `v`. What slot `(a, v)` holds is the encoding's: this
+  * class's is the up-set encoding, and [[EqFrontier]] and [[DownFrontier]]
+  * override [[mark]] and [[query]]. Removal shifts every later position
+  * down by one, in the columns and in the bitmaps; bits at positions
+  * `≥ size` are zero. For an object `o`, each encoding forms word by word
+  *  - `D`, the members at least as good as `o`, and
+  *  - `E`, the members `o` is at least as good as;
+  * their intersection `I` holds the members identical to `o`.
+  *
+  * Comparison counts are those of the paper's sequential scan in insertion
+  * order, derived instead of counted call by call. A scan stops at its
+  * first dominator, so its count is the position of the first such member
+  * plus one, or the size when there is none; a scan that tests every member
+  * counts the size. The test code's scan store `ScanFrontier` compares
+  * member by member and is the reference for these counts.
+  *
+  * Up-set encoding (range encoding, Chan & Ioannidis, SIGMOD 1998, over a
+  * partial order): slot `(a, v)` holds the positions whose value on `a` is
+  * at least as good as `v`, `U_a(v)`. For an object `o`,
+  * `D = ⋀_a U_a(o_a)`, one load per attribute, and
+  * `E = ⋀_a ¬⋁_{w ∈ minOut(o_a)} U_a(w)`. The bitmaps hold this store's own
+  * relations, so it backs the frontiers that are only read under them and
+  * asked most for a dominator: Baseline users, cluster members' `P_c`, and
+  * an append-only cluster's filter level `P_U`.
   */
-class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
+sealed class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     extends Serializable {
 
   protected val d: Int = prefs.length
   protected var n = 0
   // Empty frontiers share the empty columns; the first insert allocates.
-  private var attrs: Array[Int] = Frontier.NoInts
   protected var tss: Array[Long] = Frontier.NoLongs
   protected var objs: Array[Obj] = Frontier.NoObjs
   // Whether the timestamps ascend in insertion order. Arrivals come in
   // timestamp order, so only a window mend's promotion of an older object
   // clears it; an empty store ascends again.
   private var ascending = true
+  /** Bitmaps per word: attribute `a`'s value `v` is slot `Σ_{b<a} |dom_b| + v`. */
+  private val slots = {
+    var s = 0
+    var a = 0
+    while (a < d) { s += prefs(a).domainSize; a += 1 }
+    s
+  }
+  // Word `w` of slot `s`'s bitmap is `bits(w * slots + s)`, so the slots of
+  // one word lie together. The bitmaps grow one word at a time.
+  protected var bits: Array[Long] = Frontier.NoBits
 
   /** Number of members. */
   def size: Int = n
@@ -53,11 +82,11 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   def ids: Set[Long] = tss.iterator.take(n).toSet
 
   /** An empty Pareto buffer `PB` for a level whose `P` is this store, over
-    * the same relations and counter. The scan store keeps a scan buffer, so
-    * the count reference is a scan store throughout; the bit-sliced stores
-    * keep theirs in the down-set encoding.
+    * the same relations and counter. A buffer is only asked which members
+    * an object dominates, `E ∖ I`, which the down-set encoding forms with
+    * `d` loads per word.
     */
-  def newBuffer: Frontier = new Frontier(prefs, counter)
+  final def newBuffer: Frontier = new DownFrontier(prefs, counter)
 
   /** Position of member `ts` in insertion order, or -1: a binary search
     * while the timestamps ascend, a scan otherwise.
@@ -73,25 +102,20 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
   /** Alg. 1 `updateParetoFrontier`: compare `o` sequentially with current
     * members. Dominated or identical stops the scan (identical is still
     * Pareto, Def. 2/3); members dominated by `o` are evicted; if `o`
-    * survives it joins the frontier.
+    * survives it joins the frontier. The scan stops at the first member of
+    * `D`. If that member is identical to `o`, `o` joins and evicts the
+    * members before it that it dominates; otherwise `o` is dominated. With
+    * no such member, `o` joins and evicts every member it dominates.
     */
   def update(o: Obj): UpdateResult = {
-    var gone = List.empty[Obj]
-    var i = 0
-    while (i < n) {
-      Dominance.compare(prefs, o.attrs, 0, attrs, i * d, counter) match {
-        case Dominance.DominatedBy => return UpdateResult.Dominated
-        case Dominance.Identical   => i = n // still Pareto; the scan stops
-        case Dominance.Dominates   => gone ::= objs(i); i += 1
-        case _                     => i += 1
-      }
-    }
-    if (gone.isEmpty) { insert(o); UpdateResult.Joined }
+    val q = query(o)
+    val p = first(q, strict = false)
+    counter.comparisons += (if (p < 0) n else p + 1)
+    if (p >= 0 && !java.util.Arrays.equals(objs(p).attrs, o.attrs)) UpdateResult.Dominated
     else {
-      val removed = gone.reverse
-      drop(removed)
+      val removed = evict(below(q, if (p < 0) n else p))
       insert(o)
-      UpdateResult(isPareto = true, removed)
+      if (removed.isEmpty) UpdateResult.Joined else UpdateResult(isPareto = true, removed)
     }
   }
 
@@ -109,18 +133,13 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
       UpdateResult(isPareto = true, gone)
     }
 
-  /** `a ≻ b` under this frontier's prefs (one counted comparison). */
-  private def dominates(a: Obj, b: Obj): Boolean =
-    Dominance.compare(prefs, a.attrs, b.attrs, counter) == Dominance.Dominates
-
-  /** Is `o` dominated by any current member? (No mutation.) */
+  /** Is `o` dominated by any current member? The scan stops at the first
+    * member of `D ∖ I`. (No mutation.)
+    */
   def dominatesNew(o: Obj): Boolean = {
-    var i = 0
-    while (i < n) {
-      if (Dominance.compare(prefs, attrs, i * d, o.attrs, 0, counter) == Dominance.Dominates) return true
-      i += 1
-    }
-    false
+    val p = first(query(o), strict = true)
+    counter.comparisons += (if (p < 0) n else p + 1)
+    p >= 0
   }
 
   /** Insert without checks (caller already established Pareto-optimality). */
@@ -131,18 +150,29 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
       objs = java.util.Arrays.copyOf(objs, cap)
     }
     ascending = n == 0 || (ascending && o.ts > tss(n - 1))
-    place(o)
+    var base = (n >>> 6) * slots
+    if (base == bits.length) bits = java.util.Arrays.copyOf(bits, base + slots)
+    var a = 0
+    while (a < d) {
+      mark(base, prefs(a), o.attrs(a), 1L << n)
+      base += prefs(a).domainSize
+      a += 1
+    }
     tss(n) = o.ts
     objs(n) = o
     n += 1
   }
 
-  /** Store the attribute values of `o` at position `n`; the attribute
-    * column grows with the others.
+  /** Set `bit` in the slots for value `v` of the attribute under `rel`,
+    * whose slots in this word start at `bits(base)`.
     */
-  protected def place(o: Obj): Unit = {
-    if (attrs.length < tss.length * d) attrs = java.util.Arrays.copyOf(attrs, tss.length * d)
-    System.arraycopy(o.attrs, 0, attrs, n * d, d)
+  protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit =
+    markEach(base, rel.atMost(v), bit)
+
+  /** Set `bit` in the slots of every value in `vs`. */
+  protected final def markEach(base: Int, vs: Array[Int], bit: Long): Unit = {
+    var k = 0
+    while (k < vs.length) { bits(base + vs(k)) |= bit; k += 1 }
   }
 
   /** Remove by timestamp; true if it was a member. */
@@ -158,38 +188,52 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     if (i < 0) None else { val o = objs(i); removeAt(i); Some(o) }
   }
 
-  /** Remove the member at position `i`; later members move down by one. */
-  protected def removeAt(i: Int): Unit = {
+  /** Remove the member at position `i`; later members move down by one, in
+    * the columns and in every bitmap.
+    */
+  private def removeAt(i: Int): Unit = {
+    val last = (n - 1) >>> 6
+    val keep = (1L << i) - 1 // the bits below `i` in its word; 0 when `i % 64 == 0`
+    var w = i >>> 6
+    while (w <= last) {
+      val base = w * slots
+      val low = if (w == i >>> 6) keep else 0L
+      var s = 0
+      while (s < slots) {
+        val x = bits(base + s)
+        val carry = if (w < last) bits(base + slots + s) << 63 else 0L
+        bits(base + s) = (x & low) | ((x >>> 1) & ~low) | carry
+        s += 1
+      }
+      w += 1
+    }
     val tail = n - i - 1
-    cut(i)
     System.arraycopy(tss, i + 1, tss, i, tail)
     System.arraycopy(objs, i + 1, objs, i, tail)
     n -= 1
     objs(n) = null
   }
 
-  /** Remove position `i`'s attribute values, `n` members stored. */
-  protected def cut(i: Int): Unit =
-    System.arraycopy(attrs, (i + 1) * d, attrs, i * d, (n - i - 1) * d)
+  /** Remove the members at positions `at`, ascending, and return them in
+    * that order. The last goes first, so the others keep their positions.
+    */
+  private def evict(at: List[Int]): List[Obj] =
+    if (at.isEmpty) Nil
+    else {
+      val gone = at.map(objs(_))
+      at.reverseIterator.foreach(removeAt)
+      gone
+    }
 
   /** Evict all members dominated by `o` (w.r.t. this frontier's prefs). */
-  def evictDominatedBy(o: Obj): Seq[Obj] = {
-    val gone = dominatedBy(o)
-    if (gone.nonEmpty) drop(gone)
-    gone
-  }
+  def evictDominatedBy(o: Obj): Seq[Obj] = evict(dominatedBy(o))
 
-  /** The members `o` dominates, in insertion order: one comparison per
-    * member. (No mutation.)
+  /** The positions of the members `o` dominates, ascending. The scan tests
+    * every member. (No mutation.)
     */
-  protected def dominatedBy(o: Obj): List[Obj] = {
-    var gone = List.empty[Obj]
-    var i = 0
-    while (i < n) {
-      if (Dominance.compare(prefs, o.attrs, 0, attrs, i * d, counter) == Dominance.Dominates) gone ::= objs(i)
-      i += 1
-    }
-    gone.reverse
+  private def dominatedBy(o: Obj): List[Int] = {
+    counter.comparisons += n
+    below(query(o), n)
   }
 
   /** `mendParetoFrontierSW` (Algs. 4/5), after `out` has left this
@@ -199,7 +243,8 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     */
   def mendFromBuffer(out: Obj, buffer: Frontier): Seq[Obj] = {
     var promoted = List.empty[Obj]
-    buffer.dominatedBy(out).foreach { o =>
+    buffer.dominatedBy(out).foreach { i =>
+      val o = buffer.objs(i)
       if (!dominatesNew(o)) { insert(o); promoted ::= o }
     }
     promoted.reverse
@@ -210,60 +255,218 @@ class Frontier(val prefs: Array[PrefRelation], val counter: OpCounter)
     * of `filter` (`P_U`) that are not in `P_c` and that `out` dominates
     * under `P_c`'s prefs. Candidates can dominate each other (they are only
     * mutually non-dominated under the filter's prefs), so each joins only
-    * if neither a member nor another candidate dominates it. Returns the
-    * promoted objects.
+    * if neither a member nor another candidate dominates it. The filter is
+    * read under `P_c`'s prefs, which only the equality store answers.
+    * Returns the promoted objects.
     */
-  def mendFromFilter(out: Obj, filter: Frontier): Seq[Obj] = {
-    val cand = filter.freedBy(out, this)
-    val promoted = cand.filter(o => !dominatesNew(o) && !cand.exists(p => p.ts != o.ts && dominates(p, o)))
+  def mendFromFilter(out: Obj, filter: EqFrontier): Seq[Obj] = {
+    val promoted = filter.freedBy(out, this)
     promoted.foreach(insert)
     promoted
   }
 
-  /** The member mend's candidates: the members of this frontier that `pc`
-    * does not hold and that `out` dominates under `pc`'s prefs, in
-    * insertion order, with one comparison on `pc`'s counter per member
-    * `pc` does not hold. It reads the objects, not the attribute column,
-    * so a store without one has it too.
-    */
-  protected def freedBy(out: Obj, pc: Frontier): List[Obj] = {
-    var cand = List.empty[Obj]
-    var i = 0
-    while (i < n) {
-      if (!pc.contains(tss(i)) &&
-          Dominance.compare(pc.prefs, out.attrs, objs(i).attrs, pc.counter) == Dominance.Dominates)
-        cand ::= objs(i)
-      i += 1
-    }
-    cand.reverse
+  /** Per attribute, the value list `pick` gives for `o`'s value under `rels`. */
+  protected final def cone(o: Obj, rels: Array[PrefRelation])(pick: (PrefRelation, Int) => Array[Int]): Array[Array[Int]] = {
+    val sel = new Array[Array[Int]](d)
+    var a = 0
+    while (a < d) { sel(a) = pick(rels(a), o.attrs(a)); a += 1 }
+    sel
   }
 
-  /** Remove `gone`, members listed in insertion order, in one compacting
-    * pass that moves each run of kept members with one copy per column.
-    */
-  protected def drop(gone: List[Obj]): Unit = {
-    var rest = gone
-    var kept = 0
-    var i = 0
-    while (i < n) {
-      var j = i // the kept run is `i until j`; `j` is the next evicted member
-      while (j < n && (rest.isEmpty || (objs(j) ne rest.head))) j += 1
-      if (kept < i) {
-        System.arraycopy(attrs, i * d, attrs, kept * d, (j - i) * d)
-        System.arraycopy(tss, i, tss, kept, j - i)
-        System.arraycopy(objs, i, objs, kept, j - i)
-      }
-      kept += j - i
-      if (j < n) rest = rest.tail
-      i = j + 1
+  /** Word `w` of `⋀_a slot(a, o_a)`. */
+  protected final def all(w: Int, o: Obj): Long = {
+    var acc = -1L
+    var base = w * slots
+    var a = 0
+    while (a < d) {
+      acc &= bits(base + o.attrs(a))
+      base += prefs(a).domainSize
+      a += 1
     }
-    java.util.Arrays.fill(objs.asInstanceOf[Array[AnyRef]], kept, n, null)
-    n = kept
+    acc
+  }
+
+  /** Word `w` of `from ∧ ⋀_a (⋁_{v ∈ sel(a)} slot(a, v)) ^ flip`: with
+    * `flip = -1` each attribute's union is complemented, and positions
+    * `≥ size` are set. It stops at the first attribute that leaves no bit.
+    */
+  protected final def any(w: Int, sel: Array[Array[Int]], flip: Long, from: Long = -1L): Long = {
+    var acc = from
+    var base = w * slots
+    var a = 0
+    while (a < d && acc != 0L) {
+      val vs = sel(a)
+      var x = 0L
+      var k = 0
+      while (k < vs.length) { x |= bits(base + vs(k)); k += 1 }
+      acc &= x ^ flip
+      base += prefs(a).domainSize
+      a += 1
+    }
+    acc
+  }
+
+  /** The words of `D` and `E` for one object. */
+  protected abstract class Query {
+    def atLeast(w: Int): Long
+    def atMost(w: Int): Long
+    /** `x ∖ I` for `x` inside word `w` of `D` (`inD`) or of `E`. */
+    def butSame(w: Int, x: Long, inD: Boolean): Long = x & ~(if (inD) atMost(w) else atLeast(w))
+  }
+
+  /** `o`'s query under this store's relations. */
+  protected def query(o: Obj): Query = new Query {
+    private var out: Array[Array[Int]] = null // built on the first word of `E`
+    def atLeast(w: Int): Long = all(w, o)
+    def atMost(w: Int): Long = {
+      if (out == null) out = cone(o, prefs)(_.minOut(_))
+      any(w, out, -1L)
+    }
+  }
+
+  /** The first position in `D` (`D ∖ I` if `strict`), or -1. */
+  private def first(q: Query, strict: Boolean): Int = {
+    val words = (n + 63) >>> 6
+    var w = 0
+    while (w < words) {
+      var x = q.atLeast(w)
+      if (strict && x != 0L) x = q.butSame(w, x, inD = true)
+      if (x != 0L) return (w << 6) + numberOfTrailingZeros(x)
+      w += 1
+    }
+    -1
+  }
+
+  /** The positions below `limit` in `E ∖ I`, ascending: the members the
+    * query's object dominates.
+    */
+  protected final def below(q: Query, limit: Int): List[Int] = {
+    var at = List.empty[Int]
+    var w = ((limit + 63) >>> 6) - 1
+    if (w >= 0) {
+      val top = if ((limit & 63) == 0) -1L else (1L << limit) - 1
+      var mask = top
+      while (w >= 0) {
+        var x = q.atMost(w) & mask
+        if (x != 0L) x = q.butSame(w, x, inD = false)
+        while (x != 0L) {
+          val b = 63 - numberOfLeadingZeros(x)
+          at ::= (w << 6) + b
+          x &= ~(1L << b)
+        }
+        mask = -1L
+        w -= 1
+      }
+    }
+    at
   }
 }
 
 object Frontier {
-  private val NoInts = new Array[Int](0)
   private val NoLongs = new Array[Long](0)
   private val NoObjs = new Array[Obj](0)
+  private val NoBits = new Array[Long](0)
+}
+
+/** Equality encoding: slot `(a, v)` holds the positions whose value on `a`
+  * is `v`. For an object `o`, `D = ⋀_a ⋁_{u ⪰ o_a} eq_a(u)`,
+  * `E = ⋀_a ⋁_{u ⪯ o_a} eq_a(u)` and `I = ⋀_a eq_a(o_a)`. The bitmaps do not
+  * depend on the relations, so the store answers `D` and `E` under any
+  * others: it backs a windowed cluster's filter level `P_U`, where the
+  * member mend reads its candidates under each member's relations.
+  */
+final class EqFrontier(prefs: Array[PrefRelation], counter: OpCounter)
+    extends Frontier(prefs, counter) {
+
+  override protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit =
+    bits(base + v) |= bit
+
+  override protected def query(o: Obj): Query = query(o, prefs)
+
+  private def query(o: Obj, rels: Array[PrefRelation]): Query = new Query {
+    // Each built on the first word that reads it.
+    private var up, down: Array[Array[Int]] = null
+    def atLeast(w: Int): Long = {
+      if (up == null) up = cone(o, rels)(_.atLeast(_))
+      any(w, up, 0L)
+    }
+    def atMost(w: Int): Long = {
+      if (down == null) down = cone(o, rels)(_.atMost(_))
+      any(w, down, 0L)
+    }
+    override def butSame(w: Int, x: Long, inD: Boolean): Long = x & ~all(w, o)
+  }
+
+  /** The member mend's promotions for `pc` ([[Frontier.mendFromFilter]]),
+    * in insertion order. The candidates are `E ∖ I` of `out` under `pc`'s
+    * prefs, less the members `pc` holds. The scan tests every member `pc`
+    * does not hold; `pc` holds only members of this filter level (Lemma 1),
+    * so that is `size - pc.size` tests, on `pc`'s counter like the others.
+    * A candidate joins if no member of `pc` dominates it
+    * ([[Frontier.dominatesNew]]) and no other candidate does.
+    */
+  private[core] def freedBy(out: Obj, pc: Frontier): List[Obj] = {
+    pc.counter.comparisons += n - pc.size
+    val cand = below(query(out, pc.prefs), n).filterNot(i => pc.contains(tss(i)))
+    val mask = new Array[Long]((n + 63) >>> 6)
+    cand.foreach(i => mask(i >>> 6) |= 1L << i)
+    val k = cand.size
+    cand.filter(i => !pc.dominatesNew(objs(i)) && !dominatedAmong(i, mask, k, pc)).map(objs(_))
+  }
+
+  /** Does a candidate in `mask` (`k` of them, position `i` among them)
+    * dominate member `i` under `pc`'s prefs? That is the candidates in
+    * `D ∖ I` of member `i` under `pc`'s prefs, read on the words that hold
+    * candidates. The scan tests the candidates in order, skips member `i`,
+    * and stops at the first dominator: its count, on `pc`'s counter, is the
+    * number of other candidates before that one, plus one, or `k - 1` when
+    * there is none.
+    */
+  private def dominatedAmong(i: Int, mask: Array[Long], k: Int, pc: Frontier): Boolean = {
+    val o = objs(i)
+    val up = cone(o, pc.prefs)(_.atLeast(_))
+    var before = 0 // candidates in the words before `w`
+    var w = 0
+    while (w < mask.length) {
+      if (mask(w) != 0L) {
+        var x = any(w, up, 0L, mask(w))
+        if (x != 0L) x &= ~all(w, o)
+        if (x != 0L) {
+          val h = (w << 6) + numberOfTrailingZeros(x)
+          val ahead = before + bitCount(mask(w) & ((1L << h) - 1))
+          pc.counter.comparisons += ahead - (if (i < h) 1 else 0) + 1
+          return true
+        }
+        before += bitCount(mask(w))
+      }
+      w += 1
+    }
+    pc.counter.comparisons += k - 1
+    false
+  }
+}
+
+/** Down-set encoding, the mirror of the up-set one: slot `(a, v)` holds the
+  * positions whose value on `a` is at most as good as `v`, `L_a(v)`. For an
+  * object `o`, `E = ⋀_a L_a(o_a)`, one load per attribute, and
+  * `D = ⋀_a ¬⋁_{w ∈ maxOut(o_a)} L_a(w)`. It backs every Pareto buffer
+  * ([[Frontier.newBuffer]]).
+  */
+final class DownFrontier(prefs: Array[PrefRelation], counter: OpCounter)
+    extends Frontier(prefs, counter) {
+
+  override protected def mark(base: Int, rel: PrefRelation, v: Int, bit: Long): Unit =
+    markEach(base, rel.atLeast(v), bit)
+
+  override protected def query(o: Obj): Query = new Query {
+    private var out: Array[Array[Int]] = null // built on the first word of `D`
+    // The complement sets the positions at and above the size; `first`
+    // reads `D` unmasked, so they are cleared here.
+    def atLeast(w: Int): Long = {
+      if (out == null) out = cone(o, prefs)(_.maxOut(_))
+      val x = any(w, out, -1L)
+      if (w == n >>> 6) x & ((1L << n) - 1) else x
+    }
+    def atMost(w: Int): Long = all(w, o)
+  }
 }

@@ -11,8 +11,7 @@ import scala.collection.mutable
   * definition: [[prefers]] reads them, and intersection of relations (Def. 5
   * common preference relation) is a word-wise AND of them — the
   * intersection of two transitively closed relations is transitively
-  * closed. The dominance kernel reads [[outcomes]], a table derived from
-  * the rows.
+  * closed. The frontier stores read value lists derived from the rows.
   */
 final class PrefRelation private (val domainSize: Int, private val rows: Array[Long])
     extends Serializable {
@@ -22,21 +21,6 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
 
   /** `x ≻ y`? Both must lie in the domain: a larger `y` reads another row. */
   def prefers(x: Int, y: Int): Boolean = (rows(x * words + (y >>> 6)) & (1L << y)) != 0
-
-  /** The outcome table the dominance kernel reads: `domainSize²` bytes,
-    * entry `x * domainSize + y` is 0 if `x == y`, 1 if `x ≻ y`, 2 if
-    * `y ≻ x` and 3 if the two are incomparable. OR-ing the entries of all
-    * attributes gives Def. 2's answer (see [[Dominance.compare]]). Built on
-    * first use, so relations that are only intermediate steps (Alg. 3's
-    * `add` chain) never pay for one, and transient, so Spark's serialised
-    * state and broadcasts do not carry it.
-    */
-  @transient private[core] lazy val outcomes: Array[Byte] = {
-    val table = new Array[Byte](domainSize * domainSize)
-    for (x <- 0 until domainSize; y <- 0 until domainSize if x != y)
-      table(x * domainSize + y) = (if (prefers(x, y)) 1 else if (prefers(y, x)) 2 else 3).toByte
-    table
-  }
 
   /** The values at least as good as `v`: `v` and every `u ≻ v`, ascending. */
   private[core] def atLeast(v: Int): Array[Int] = above(v)
@@ -56,8 +40,10 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
     */
   private[core] def maxOut(v: Int): Array[Int] = notAbove(v)
 
-  // The value lists the bit-sliced stores read (`SlicedFrontier`), built on
-  // first use and transient, like the outcome table.
+  // The value lists the stores read (`Frontier`), built on first use, so
+  // relations that are only intermediate steps (Alg. 3's `add` chain) never
+  // pay for them, and transient, so Spark's serialised state and broadcasts
+  // do not carry them.
   @transient private lazy val above: Array[Array[Int]] =
     Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(u, v)).toArray)
   @transient private lazy val below: Array[Array[Int]] =

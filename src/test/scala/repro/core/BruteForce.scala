@@ -3,8 +3,9 @@ package repro.core
 /** From-scratch golden model used by tests: the Pareto frontier of a plain
   * object collection (Def. 3), or of the alive window (Def. 9), and the
   * Pareto frontier buffer (Def. 10). Dominance is decided from the
-  * relations' `prefers` alone, so the model shares no code with
-  * [[Dominance.compare]] or its outcome tables.
+  * relations' `prefers` alone, so the model shares no code with the
+  * engine's stores, nor with the scan store's kernel [[Dominance.compare]]
+  * and its outcome tables.
   */
 object BruteForce {
 

@@ -73,4 +73,14 @@ class EngineApiSpec extends AnyFunSuite {
     val rel: PrefRelation = cluster.filterRels(0)
     assert(rel.tuples.forall { case (x, y) => rel.prefers(x, y) })
   }
+
+  test("Frontier(rels, counter).update counts what the scan store counts") {
+    // The harness reads the filter's share of the comparisons from a bare
+    // frontier per cluster over the stream, which must count as the scan does.
+    val counter = new OpCounter
+    val f = new Frontier(cluster.filterRels, counter)
+    val scan = new ScanFrontier(cluster.filterRels, new OpCounter)
+    objects.foreach(o => assert(f.update(o) == scan.update(o)))
+    assert(counter.comparisons == scan.counter.comparisons && counter.comparisons > objects.size)
+  }
 }

@@ -8,6 +8,15 @@ class FrontierSpec extends AnyFunSuite {
 
   private def mkFrontier(prefs: Array[PrefRelation]) = new Frontier(prefs, new OpCounter)
 
+  /** `objs` updated into a frontier over `prefs` one by one, each answer and
+    * the comparisons checked against the scan store, the count reference.
+    */
+  private def updated(prefs: Array[PrefRelation], objs: Seq[Obj]): Frontier = {
+    val (f, scan) = (mkFrontier(prefs), new ScanFrontier(prefs, new OpCounter))
+    objs.foreach(o => assert(f.update(o) == scan.update(o) && f.counter.comparisons == scan.counter.comparisons, s"$o"))
+    f
+  }
+
   test("first object is always Pareto-optimal") {
     val f = mkFrontier(Array(cpuC1))
     assert(f.update(Obj(1, Array(Single))).isPareto)
@@ -52,8 +61,7 @@ class FrontierSpec extends AnyFunSuite {
       val domains = Seq(4 + rng.nextInt(4), 4 + rng.nextInt(4))
       val prefs = domains.map(m => randomRelation(rng, m, 0.4)).toArray
       val objs = randomObjects(rng, 60, domains)
-      val f = mkFrontier(prefs)
-      objs.foreach(f.update)
+      val f = updated(prefs, objs)
       assert(f.ids == BruteForce.frontier(prefs, objs),
         s"prefs=${prefs.mkString(";")} objs=$objs")
     }
@@ -77,9 +85,7 @@ class FrontierSpec extends AnyFunSuite {
       val domains = Seq(65 + rng.nextInt(66), 65 + rng.nextInt(66))
       val prefs = domains.map(m => randomRelation(rng, m, 0.05)).toArray
       val objs = randomObjects(rng, 150, domains)
-      val f = mkFrontier(prefs)
-      objs.foreach(f.update)
-      assert(f.ids == BruteForce.frontier(prefs, objs))
+      assert(updated(prefs, objs).ids == BruteForce.frontier(prefs, objs))
     }
 
   test("objects keep insertion order through removals from the middle and later inserts") {
@@ -104,8 +110,7 @@ class FrontierSpec extends AnyFunSuite {
     // Under the empty order, distinct values are incomparable.
     val prefs = Array(PrefRelation.empty(8))
     val counter = new OpCounter
-    for (f <- Seq(new Frontier(prefs, counter), new EqFrontier(prefs, counter),
-                  new UpFrontier(prefs, counter), new DownFrontier(prefs, counter))) {
+    for (f <- Seq(new Frontier(prefs, counter), new EqFrontier(prefs, counter), new DownFrontier(prefs, counter))) {
       def fill(tss: Long*): Unit = tss.foreach(ts => f.insert(Obj(ts, Array((ts % 8).toInt))))
       def lookups(in: Seq[Long], out: Seq[Long]): Unit = {
         assert(in.forall(f.contains) && !out.exists(f.contains), s"${f.getClass.getSimpleName}: ${f.objects.map(_.ts)}")

@@ -5,19 +5,20 @@ import repro.data.PrefSim
 import scala.util.Random
 import TestGen._
 
-/** Each bit-sliced store against the scan store, the count reference, step
-  * by step. Two levels over the same relations, one on the scan store and
-  * one on the bit-sliced store under test, go through one random sequence of
-  * every operation the engine uses on a level. After each step both have
-  * answered the same, hold the same members in the same order in `P` and in
-  * `PB`, and have counted the same comparisons. The stores grow past 128
-  * positions, so removals shift bits across words. A bit-sliced level's
-  * `PB` is always the down-set store, so every windowed case checks it
-  * against the scan buffer. On filter relations the equality, up-set and
-  * down-set stores run as a windowed cluster's filter level `P`, and the
-  * up-set store also append-only, as an append-only cluster's `P_U`; the
-  * up-set store runs as a Baseline user's level, windowed and append-only,
-  * on user relations.
+/** Each bit-sliced store against the scan store ([[ScanFrontier]]), the
+  * count reference, step by step. Two levels over the same relations, one on
+  * the scan store and one on the bit-sliced store under test, go through one
+  * random sequence of every operation the engine uses on a level. After each
+  * step both have answered the same, hold the same members in the same order
+  * in `P` and in `PB`, and have counted the same comparisons. The stores
+  * grow past 128 positions, so removals shift bits across words. A
+  * bit-sliced level's `PB` is always the down-set store, so every windowed
+  * case checks it against the scan buffer. On filter relations the equality,
+  * up-set and down-set stores run as a windowed cluster's filter level `P`,
+  * and the up-set store ([[Frontier]] itself) also append-only, as an
+  * append-only cluster's `P_U`; the up-set store runs as a Baseline user's
+  * level, windowed and append-only, on user relations. The member mend runs
+  * only from the equality store, the only store the engine's mend reads.
   */
 class SlicedFrontierSpec extends AnyFunSuite {
 
@@ -25,20 +26,22 @@ class SlicedFrontierSpec extends AnyFunSuite {
 
   private type Store = (Array[PrefRelation], OpCounter) => Frontier
   private val eqStore: Store = new EqFrontier(_, _)
-  private val upStore: Store = new UpFrontier(_, _)
+  private val upStore: Store = new Frontier(_, _)
   private val downStore: Store = new DownFrontier(_, _)
 
   /** Drive the scan store and `store` over `rels` with objects from `next`.
-    * The member mend builds a member frontier under `memberRels` from `P`'s
-    * members, so that it holds only members of `P`, as Lemma 1 gives; on
-    * the bit-sliced side it is an up-set store, as in the engine. An
-    * append-only level has no buffer: its buffer steps become `update`s.
-    * `inserts` of 10 steps insert in the growing phases.
+    * The member mend, when `store` is the equality store, builds a member
+    * frontier under `memberRels` from `P`'s members, so that it holds only
+    * members of `P`, as Lemma 1 gives; on the bit-sliced side it is an
+    * up-set store, as in the engine. An append-only level has no buffer: its
+    * buffer steps become `update`s. `inserts` of 10 steps insert in the
+    * growing phases.
     */
   private def replay(store: Store, rels: Array[PrefRelation], memberRels: Array[PrefRelation],
                      rng: Random, next: () => Array[Int], windowed: Boolean, inserts: Int = 7): Unit = {
-    val scan = new Level(new Frontier(rels, new OpCounter), windowed)
+    val scan = new ScanLevel(new ScanFrontier(rels, new OpCounter), windowed)
     val sliced = new Level(store(rels, new OpCounter), windowed)
+    val eq = sliced.frontier match { case f: EqFrontier => Some(f); case _ => None }
     if (windowed) assert(sliced.buffer.isInstanceOf[DownFrontier])
     var ts = 0L
     var largest = 0
@@ -50,12 +53,12 @@ class SlicedFrontierSpec extends AnyFunSuite {
       if (ms.isEmpty || rng.nextInt(3) > 0) fresh()
       else { ts += 1; Obj(ts, ms(rng.nextInt(ms.size)).attrs.clone()) }
     }
-    def member(f: Frontier): Option[Long] =
+    def member(f: ScanFrontier): Option[Long] =
       if (f.size == 0) None else Some(f.objects(rng.nextInt(f.size)).ts)
 
-    def both[A](step: Int, what: String)(op: Level => A): Unit = {
+    def both[A](step: Int, what: String)(scanOp: ScanLevel => A, op: Level => A): Unit = {
       val before = (scan.frontier.counter.comparisons, sliced.frontier.counter.comparisons)
-      val (a, b) = (op(scan), op(sliced))
+      val (a, b) = (scanOp(scan), op(sliced))
       val at = s"step $step, $what"
       assert(a == b, at)
       assert(scan.frontier.counter.comparisons - before._1 == sliced.frontier.counter.comparisons - before._2,
@@ -69,35 +72,36 @@ class SlicedFrontierSpec extends AnyFunSuite {
     // past two words before the phase after it shrinks them.
     def op(step: Int): Int = if ((step / 400) % 2 == 0 && rng.nextInt(10) < inserts) rng.nextInt(3) else rng.nextInt(14)
     for (step <- 0 until Steps) op(step) match {
-      case 0 | 1 => val o = fresh(); both(step, s"P.insert($o)")(_.frontier.insert(o))
-      case 2 if windowed => val o = fresh(); both(step, s"PB.insert($o)")(_.buffer.insert(o))
-      case 4     => val o = probe(); both(step, s"admit($o, $windowed)")(_.frontier.admit(o, windowed))
-      case 5     => val o = fresh(); both(step, s"arrive($o)")(_.arrive(o))
-      case 6     => val o = probe(); both(step, s"dominatesNew($o)")(_.frontier.dominatesNew(o))
-      case 7     => val o = probe(); both(step, s"P.evictDominatedBy($o)")(_.frontier.evictDominatedBy(o))
-      case 8 if windowed => val o = probe(); both(step, s"PB.evictDominatedBy($o)")(_.buffer.evictDominatedBy(o))
-      case 9     => member(scan.frontier).foreach(t => both(step, s"P.remove($t)")(_.frontier.remove(t)))
-      case 10 if windowed => member(scan.buffer).foreach(t => both(step, s"PB.take($t)")(_.buffer.take(t)))
-      case 11 if windowed => val o = probe(); both(step, s"mendFromBuffer($o)")(l => l.frontier.mendFromBuffer(o, l.buffer))
-      case 12 if windowed => member(scan.buffer).foreach(t => both(step, s"expire($t)")(_.expire(t)))
-      case 13 =>
+      case 0 | 1 => val o = fresh(); both(step, s"P.insert($o)")(_.frontier.insert(o), _.frontier.insert(o))
+      case 2 if windowed => val o = fresh(); both(step, s"PB.insert($o)")(_.buffer.insert(o), _.buffer.insert(o))
+      case 4     => val o = probe(); both(step, s"admit($o, $windowed)")(_.frontier.admit(o, windowed), _.frontier.admit(o, windowed))
+      case 5     => val o = fresh(); both(step, s"arrive($o)")(_.arrive(o), _.arrive(o))
+      case 6     => val o = probe(); both(step, s"dominatesNew($o)")(_.frontier.dominatesNew(o), _.frontier.dominatesNew(o))
+      case 7     => val o = probe(); both(step, s"P.evictDominatedBy($o)")(_.frontier.evictDominatedBy(o), _.frontier.evictDominatedBy(o))
+      case 8 if windowed => val o = probe(); both(step, s"PB.evictDominatedBy($o)")(_.buffer.evictDominatedBy(o), _.buffer.evictDominatedBy(o))
+      case 9     => member(scan.frontier).foreach(t => both(step, s"P.remove($t)")(_.frontier.remove(t), _.frontier.remove(t)))
+      case 10 if windowed => member(scan.buffer).foreach(t => both(step, s"PB.take($t)")(_.buffer.take(t), _.buffer.take(t)))
+      case 11 if windowed => val o = probe()
+        both(step, s"mendFromBuffer($o)")(l => l.frontier.mendFromBuffer(o, l.buffer), l => l.frontier.mendFromBuffer(o, l.buffer))
+      case 12 if windowed => member(scan.buffer).foreach(t => both(step, s"expire($t)")(_.expire(t), _.expire(t)))
+      case 13 if eq.nonEmpty =>
         // The member mend: `out` leaves `P` and the member frontier, whose
-        // own counter takes the mend's comparisons.
+        // own counter takes the mend's comparisons. Each side answers with
+        // its promotions, its member frontier after and those comparisons.
         val pick = rng.nextInt(Int.MaxValue)
-        both(step, "mendFromFilter") { l =>
-          val pc = if (l eq scan) new Frontier(memberRels, new OpCounter) else upStore(memberRels, new OpCounter)
-          l.frontier.objects.foreach(pc.update)
-          if (pc.size == 0) None
-          else {
-            val out = pc.objects(pick % pc.size)
-            l.frontier.remove(out.ts)
-            pc.remove(out.ts)
-            val before = pc.counter.comparisons
-            val promoted = pc.mendFromFilter(out, l.frontier)
-            Some((promoted, pc.objects, pc.counter.comparisons - before))
-          }
+        val (scanPc, slicedPc) = (new ScanFrontier(memberRels, new OpCounter), new Frontier(memberRels, new OpCounter))
+        scan.frontier.objects.foreach(scanPc.update)
+        sliced.frontier.objects.foreach(slicedPc.update)
+        if (scanPc.size > 0) {
+          val out = scanPc.objects(pick % scanPc.size)
+          def counted[A](c: OpCounter)(run: => A): (A, Long) = { val before = c.comparisons; (run, c.comparisons - before) }
+          both(step, s"mendFromFilter($out)")(
+            l => { l.frontier.remove(out.ts); scanPc.remove(out.ts)
+                   (counted(scanPc.counter)(scanPc.mendFromFilter(out, l.frontier)), scanPc.objects) },
+            l => { l.frontier.remove(out.ts); slicedPc.remove(out.ts)
+                   (counted(slicedPc.counter)(slicedPc.mendFromFilter(out, eq.get)), slicedPc.objects) })
         }
-      case _ => val o = probe(); both(step, s"update($o)")(_.frontier.update(o))
+      case _ => val o = probe(); both(step, s"update($o)")(_.frontier.update(o), _.frontier.update(o))
     }
     assert(largest > 128, s"largest store $largest")
   }

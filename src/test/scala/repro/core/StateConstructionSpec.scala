@@ -51,6 +51,22 @@ class StateConstructionSpec extends AnyFunSuite {
     }
   }
 
+  test("a replay rejects a Baseline state built for the other mode") {
+    val c = new OpCounter
+    rejects("window Some(2): the replay is windowed, a state is append-only")(
+      new Replay(Seq(new Baseline.State(Seq(chain5), c)), Some(2)))
+    rejects("window None: the replay is append-only, a state is windowed")(
+      new Replay(Seq(new Baseline.State(Seq(chain5), c, windowed = true)), None))
+  }
+
+  test("a replay rejects a FilterThenVerify state built for the other mode") {
+    val cluster = Cluster(0, chain5.rels, Seq(chain5))
+    rejects("window Some(2): the replay is windowed, a state is append-only")(
+      new Replay(Seq(new FilterThenVerify.ClusterState(cluster)), Some(2)))
+    rejects("window None: the replay is append-only, a state is windowed")(
+      new Replay(Seq(new FilterThenVerifySW.ClusterState(cluster, new OpCounter)), None))
+  }
+
   test("a user id in two clusters of one replay is rejected") {
     val clusters = Seq(Cluster(0, chain5.rels, Seq(chain5)), Cluster(1, chain5.rels, Seq(chain5)))
     rejects("user 1: in two states of one replay")(FilterThenVerify.run(clusters, objects))
