@@ -8,21 +8,32 @@ import repro.exp.Experiments
 /** Recorded `SimVecWJ` dendrograms of the PrefSim populations that the
   * benchmark and the experiments cluster: the default movie and publication
   * populations restricted to latent groups 0 and 2 (34 and 40 users), and
-  * whole (200 users each). A record (`repro/core/dendrogram/<name>.txt` in
-  * the test resources) holds the population's user ids, one line per merge
-  * with the ids of the two merged clusters and their similarity, and the
-  * clusters of each branch cut in `Experiments.BranchCuts`. Cluster ids
-  * number the users 0 until n in population order, then the cluster made by
-  * merge k is n + k.
+  * whole (200 users each). One more record pins the Sec. V weighted Jaccard
+  * `SimWJ` (Eq. 5) on the 34-user movie population. A record
+  * (`repro/core/dendrogram/<name>.txt` in the test resources) holds the
+  * population's user ids, one line per merge with the ids of the two merged
+  * clusters and their similarity, and the clusters of each branch cut in
+  * `Experiments.BranchCuts`. Cluster ids number the users 0 until n in
+  * population order, then the cluster made by merge k is n + k.
   */
 class DendrogramGoldenSpec extends AnyFunSuite {
   import DendrogramGoldenSpec._
 
+  private def prefSimUsers(cfg: PrefSim.SimConfig, whole: Boolean): Seq[UserPrefs] =
+    PrefSim.users(cfg).filter(u => whole || Set(0, 2)(u.userId % cfg.nGroups))
+
   for ((dataset, cfg) <- Seq("movie" -> PrefSim.movieConfig(), "publication" -> PrefSim.publicationConfig());
-       whole <- Seq(false, true)) {
-    val name = s"$dataset-${if (whole) "all" else "groups-0-2"}"
-    lazy val users = PrefSim.users(cfg).filter(u => whole || Set(0, 2)(u.userId % cfg.nGroups))
-    lazy val dendro = Clustering.dendrogram(users, Clustering.SimVecWJ)
+       whole <- Seq(false, true))
+    golden(s"$dataset-${if (whole) "all" else "groups-0-2"}", prefSimUsers(cfg, whole), Clustering.SimVecWJ)
+
+  golden("movie-groups-0-2-weighted-jaccard", prefSimUsers(PrefSim.movieConfig(), whole = false), Clustering.SimWJ)
+
+  /** The three checks of record `name` against the dendrogram of `population`
+    * under `measure`, both built on first use.
+    */
+  private def golden(name: String, population: => Seq[UserPrefs], measure: Clustering.Measure): Unit = {
+    lazy val users = population
+    lazy val dendro = Clustering.dendrogram(users, measure)
     lazy val record = Record.load(name)
 
     test(s"$name: each merge joins the recorded member sets, in the recorded order") {
