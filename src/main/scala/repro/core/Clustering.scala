@@ -2,24 +2,19 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Similarity measures over clusters of users whose preferences are strict
-  * partial orders (paper Sec. V exact measures, Sec. VI-C approximate
-  * measures), plus conventional hierarchical agglomerative clustering with
-  * a dendrogram branch cut `θ(h)` (Def. 7).
+/** Cluster similarity for users whose preferences are strict partial
+  * orders (paper Sec. VI-C, the weighted vector Jaccard), plus conventional
+  * hierarchical agglomerative clustering with a dendrogram branch cut `θ(h)`
+  * (Def. 7).
   */
 object Clustering {
 
-  /** Per-attribute representation of a cluster during clustering:
-    *   - `common`: the common preference relation `≻_U^d` (Def. 5);
-    *   - `freq`: Σ over members of tuple indicators (Sec. VI-C vectors);
-    *   - `wfreq`: Σ over members of indicator × member's weight of the
-    *     better value in the member's own relation (Ex. 14).
-    * Both are [[tupleVector]]s. Sums (not averages) are kept so merging
-    * clusters is additive.
+  /** A cluster during clustering: its members and, per attribute, `wfreq`,
+    * the sum over members of their weighted [[tupleVector]]s (indicator ×
+    * the member's weight of the better value in its own relation, Ex. 14).
+    * Sums (not averages) are kept so merging clusters is additive.
     */
-  final case class AttrRep(common: PrefRelation, freq: Array[Double], wfreq: Array[Double])
-
-  final case class ClusterRep(members: Vector[UserPrefs], attrs: Vector[AttrRep]) {
+  final case class ClusterRep(members: Vector[UserPrefs], wfreq: Vector[Array[Double]]) {
     def size: Int = members.size
   }
 
@@ -37,49 +32,10 @@ object Clustering {
     Array.tabulate(a.length)(i => a(i) + b(i))
 
   def singleton(u: UserPrefs): ClusterRep =
-    ClusterRep(Vector(u), u.rels.toVector.map(rel =>
-      AttrRep(rel, tupleVector(rel, _ => 1.0), tupleVector(rel, rel.weight))))
+    ClusterRep(Vector(u), u.rels.toVector.map(rel => tupleVector(rel, rel.weight)))
 
   def merge(a: ClusterRep, b: ClusterRep): ClusterRep =
-    ClusterRep(a.members ++ b.members,
-      a.attrs.zip(b.attrs).map { case (x, y) =>
-        AttrRep(x.common.intersect(y.common), plus(x.freq, y.freq), plus(x.wfreq, y.wfreq))
-      })
-
-  // ---------------------------------------------------------------- exact
-
-  /** Eq. 2: intersection size `|≻_U1^d ∩ ≻_U2^d|`. */
-  def simIntersectionD(a: PrefRelation, b: PrefRelation): Double =
-    a.intersect(b).size.toDouble
-
-  /** Eq. 3: Jaccard similarity of the two common relations. */
-  def simJaccardD(a: PrefRelation, b: PrefRelation): Double = {
-    val inter = a.intersect(b).size
-    val union = a.size + b.size - inter
-    if (union == 0) 0.0 else inter.toDouble / union
-  }
-
-  /** Eq. 4: weighted intersection size — for each common tuple `(v, v')`,
-    * the average of `v`'s weights in the two relations.
-    */
-  def simWeightedIntersectionD(a: PrefRelation, b: PrefRelation): Double =
-    a.intersect(b).tuples.iterator.map { case (v, _) => (a.weight(v) + b.weight(v)) / 2.0 }.sum
-
-  /** Eq. 5: weighted Jaccard — weighted intersection over weighted union
-    * (tuples exclusive to one relation contribute that relation's weight
-    * of the better value).
-    */
-  def simWeightedJaccardD(a: PrefRelation, b: PrefRelation): Double = {
-    val wi = simWeightedIntersectionD(a, b)
-    val onlyA = a.tuples.iterator.filter { case (x, y) => !b.prefers(x, y) }
-      .map { case (v, _) => a.weight(v) }.sum
-    val onlyB = b.tuples.iterator.filter { case (x, y) => !a.prefers(x, y) }
-      .map { case (v, _) => b.weight(v) }.sum
-    val denom = onlyA + onlyB + wi
-    if (denom == 0) 0.0 else wi / denom
-  }
-
-  // ----------------------------------------------------------- approximate
+    ClusterRep(a.members ++ b.members, a.wfreq.zip(b.wfreq).map { case (x, y) => plus(x, y) })
 
   /** Eq. 6: multiset Jaccard `Σ min / Σ max` over per-member tuple
     * frequency vectors (Sec. VI-C Ex. 13). `fa`/`fb` are sums of
@@ -95,35 +51,16 @@ object Clustering {
     if (maxs == 0) 0.0 else mins / maxs
   }
 
-  // -------------------------------------------------------------- measures
-
-  sealed trait Measure { def name: String }
-  case object SimI  extends Measure { val name = "intersection" }
-  case object SimJ  extends Measure { val name = "jaccard" }
-  case object SimWI extends Measure { val name = "weighted-intersection" }
-  case object SimWJ extends Measure { val name = "weighted-jaccard" }
-  case object SimVecJ  extends Measure { val name = "vector-jaccard" }
-  case object SimVecWJ extends Measure { val name = "weighted-vector-jaccard" }
-
-  /** Combined cluster similarity (Eq. 1), normalized to [0, 1] by averaging
-    * per-attribute similarities so the branch cut `h ∈ (0, 1]` of Def. 7 is
-    * meaningful across measures. Unbounded measures (`sim_i`, `sim_wi`) are
-    * normalized per attribute by the maximum possible relation size
-    * `m(m-1)/2` (a full chain's closure).
+  /** A cluster similarity in [0, 1], so that the branch cut `h ∈ (0, 1]` of
+    * Def. 7 is meaningful.
     */
-  def similarity(measure: Measure, a: ClusterRep, b: ClusterRep): Double = {
-    val perAttr = a.attrs.zip(b.attrs).map { case (x, y) =>
-      val m = x.common.domainSize
-      val cap = m * (m - 1) / 2.0
-      measure match {
-        case SimI  => simIntersectionD(x.common, y.common) / cap
-        case SimJ  => simJaccardD(x.common, y.common)
-        case SimWI => simWeightedIntersectionD(x.common, y.common) / cap
-        case SimWJ => simWeightedJaccardD(x.common, y.common)
-        case SimVecJ  => simVecJaccard(x.freq, a.size, y.freq, b.size)
-        case SimVecWJ => simVecJaccard(x.wfreq, a.size, y.wfreq, b.size)
-      }
-    }
+  type Measure = (ClusterRep, ClusterRep) => Double
+
+  /** Combined cluster similarity (Eq. 1) of the weighted vector Jaccard
+    * (Ex. 14): the average over attributes of [[simVecJaccard]] on `wfreq`.
+    */
+  val SimVecWJ: Measure = { (a, b) =>
+    val perAttr = a.wfreq.zip(b.wfreq).map { case (x, y) => simVecJaccard(x, a.size, y, b.size) }
     perAttr.sum / perAttr.size
   }
 
@@ -154,8 +91,8 @@ object Clustering {
   /** Build the dendrogram by greedy agglomeration under `measure`.
     * Cluster ids are the users' positions, then one new id per merge. Each
     * merge scans the similarities of all active pairs, O(k²), and computes
-    * the merged cluster's similarities to the rest, O(k · d · m²) for the
-    * vector measures; fine for the ≤ 1,000-user scales of the paper.
+    * the merged cluster's similarities to the rest, O(k · d · m²) under
+    * [[SimVecWJ]]; fine for the ≤ 1,000-user scales of the paper.
     * Rejects an empty population, and users whose number of attributes or
     * attribute domain sizes differ from the first user's.
     */
@@ -168,7 +105,7 @@ object Clustering {
     // sims(j)(i), i < j: similarity of clusters i and j.
     val sims = new Array[Array[Double]](2 * n - 1)
     def add(id: Int, rep: ClusterRep): Unit = {
-      sims(id) = Array.tabulate(id)(i => if (reps(i) == null) 0.0 else similarity(measure, reps(i), rep))
+      sims(id) = Array.tabulate(id)(i => if (reps(i) == null) 0.0 else measure(reps(i), rep))
       reps(id) = rep
     }
     for ((u, i) <- users.zipWithIndex) add(i, singleton(u))

@@ -22,38 +22,34 @@ final class PrefRelation private (val domainSize: Int, private val rows: Array[L
   /** `x ≻ y`? Both must lie in the domain: a larger `y` reads another row. */
   def prefers(x: Int, y: Int): Boolean = (rows(x * words + (y >>> 6)) & (1L << y)) != 0
 
+  // The value lists the stores read (`Frontier`), entry `v` for value `v`,
+  // built on first use, so relations that are only intermediate steps
+  // (Alg. 3's `add` chain) never pay for them, and transient, so Spark's
+  // serialised state and broadcasts do not carry them.
+
   /** The values at least as good as `v`: `v` and every `u ≻ v`, ascending. */
-  private[core] def atLeast(v: Int): Array[Int] = above(v)
+  @transient private[core] lazy val atLeast: Array[Array[Int]] =
+    Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(u, v)).toArray)
 
   /** The values at most as good as `v`: `v` and every `u` with `v ≻ u`, ascending. */
-  private[core] def atMost(v: Int): Array[Int] = below(v)
+  @transient private[core] lazy val atMost: Array[Array[Int]] =
+    Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(v, u)).toArray)
 
   /** The minimal values of those `v` is not at least as good as, ascending.
     * That set is an up-set, so `u` lies in it iff `u` is at least as good as
     * one of them.
     */
-  private[core] def minOut(v: Int): Array[Int] = notBelow(v)
+  @transient private[core] lazy val minOut: Array[Array[Int]] =
+    Array.tabulate(domainSize) { v =>
+      val out = (0 until domainSize).filterNot(u => u == v || prefers(v, u))
+      out.filterNot(u => out.exists(prefers(u, _))).toArray
+    }
 
   /** The maximal values of those not at least as good as `v`, ascending.
     * That set is a down-set, so `u` lies in it iff one of them is at least
     * as good as `u`.
     */
-  private[core] def maxOut(v: Int): Array[Int] = notAbove(v)
-
-  // The value lists the stores read (`Frontier`), built on first use, so
-  // relations that are only intermediate steps (Alg. 3's `add` chain) never
-  // pay for them, and transient, so Spark's serialised state and broadcasts
-  // do not carry them.
-  @transient private lazy val above: Array[Array[Int]] =
-    Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(u, v)).toArray)
-  @transient private lazy val below: Array[Array[Int]] =
-    Array.tabulate(domainSize)(v => (0 until domainSize).filter(u => u == v || prefers(v, u)).toArray)
-  @transient private lazy val notBelow: Array[Array[Int]] =
-    Array.tabulate(domainSize) { v =>
-      val out = (0 until domainSize).filterNot(u => u == v || prefers(v, u))
-      out.filterNot(u => out.exists(prefers(u, _))).toArray
-    }
-  @transient private lazy val notAbove: Array[Array[Int]] =
+  @transient private[core] lazy val maxOut: Array[Array[Int]] =
     Array.tabulate(domainSize) { v =>
       val out = (0 until domainSize).filterNot(u => u == v || prefers(u, v))
       out.filterNot(u => out.exists(prefers(_, u))).toArray

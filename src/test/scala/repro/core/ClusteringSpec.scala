@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import TestGen._
 import Clustering._
+import ExactMeasures._
 
 class ClusteringSpec extends AnyFunSuite {
 
@@ -54,26 +55,26 @@ class ClusteringSpec extends AnyFunSuite {
   private def entry(v: Array[Double], x: Int, y: Int): Double = v(x * tableIvU1.domainSize + y)
 
   test("Example 13: U1 frequency vector entries") {
-    val f = entry(repU1.attrs.head.freq, _, _)
+    val f = entry(freq(repU1.members, 0), _, _)
     assert(f(A, L) == 2.0 && f(A, S) == 2.0 && f(L, S) == 2.0)
     assert(f(T, L) == 1.0 && f(T, S) == 2.0)
     assert(f(L, A) == 0.0 && f(S, A) == 0.0)
   }
 
   test("Example 13: vector Jaccard sim_j(U1,U3) = 2.5/7 ≈ 0.36") {
-    val s = simVecJaccard(repU1.attrs.head.freq, 2, repU3.attrs.head.freq, 2)
+    val s = simVecJaccard(freq(repU1.members, 0), 2, freq(repU3.members, 0), 2)
     assert(math.abs(s - 2.5 / 7.0) < 1e-12)
     assert(math.abs(s - 0.36) < 0.01)
   }
 
   test("Example 14: weighted vector entries — U3 has 1/4 in the (A,T) dimension") {
-    val wf = entry(repU3.attrs.head.wfreq, _, _)
+    val wf = entry(repU3.wfreq.head, _, _)
     assert(wf(A, T) / 2 == 0.25) // only c6 contains (A,T); weight of A in c6 is 1/2
     assert(wf(L, A) / 2 == 1.0)  // both contain it, L maximal in both
   }
 
   test("Example 14: weighted vector Jaccard sim_wj(U1,U3) = 1.25/6.75 ≈ 0.19") {
-    val s = simVecJaccard(repU1.attrs.head.wfreq, 2, repU3.attrs.head.wfreq, 2)
+    val s = simVecJaccard(repU1.wfreq.head, 2, repU3.wfreq.head, 2)
     assert(math.abs(s - 1.25 / 6.75) < 1e-12)
     assert(math.abs(s - 0.19) < 0.01)
   }
@@ -105,14 +106,14 @@ class ClusteringSpec extends AnyFunSuite {
   }
 
   test("similarity is symmetric for all measures") {
-    Seq[Measure](SimI, SimJ, SimWI, SimWJ, SimVecJ, SimVecWJ).foreach { m =>
-      assert(similarity(m, repU1, repU3) === similarity(m, repU3, repU1), m.name)
+    all.foreach { m =>
+      assert(m(repU1, repU3) === m(repU3, repU1), m.name)
     }
   }
 
   test("self-similarity is maximal for Jaccard measures") {
-    Seq[Measure](SimJ, SimWJ, SimVecJ, SimVecWJ).foreach { m =>
-      assert(math.abs(similarity(m, repU1, repU1) - 1.0) < 1e-12, m.name)
+    all.filter(_.name.endsWith("jaccard")).foreach { m =>
+      assert(math.abs(m(repU1, repU1) - 1.0) < 1e-12, m.name)
     }
   }
 
@@ -121,8 +122,8 @@ class ClusteringSpec extends AnyFunSuite {
       val rng = new Random(seed)
       val a = rep(randomRelation(rng, 6), randomRelation(rng, 6))
       val b = rep(randomRelation(rng, 6), randomRelation(rng, 6))
-      Seq[Measure](SimI, SimJ, SimWI, SimWJ, SimVecJ, SimVecWJ).foreach { m =>
-        val s = similarity(m, a, b)
+      all.foreach { m =>
+        val s = m(a, b)
         assert(s >= 0.0 && s <= 1.0, s"${m.name} gave $s")
       }
     }
@@ -130,7 +131,9 @@ class ClusteringSpec extends AnyFunSuite {
   test("merge accumulates members and intersects common relations") {
     val m = merge(repU1, repU3)
     assert(m.size == 4)
-    assert(m.attrs.head.common == tableIvU1.intersect(tableIvU3))
+    assert(m.members == repU1.members ++ repU3.members)
+    assert(m.wfreq.head.toSeq == repU1.wfreq.head.zip(repU3.wfreq.head).map { case (x, y) => x + y }.toSeq)
+    assert(commonRels(m.members).head == tableIvU1.intersect(tableIvU3))
   }
 
   for (seed <- 0 until 4)

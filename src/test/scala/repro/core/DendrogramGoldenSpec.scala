@@ -26,7 +26,7 @@ class DendrogramGoldenSpec extends AnyFunSuite {
        whole <- Seq(false, true))
     golden(s"$dataset-${if (whole) "all" else "groups-0-2"}", prefSimUsers(cfg, whole), Clustering.SimVecWJ)
 
-  golden("movie-groups-0-2-weighted-jaccard", prefSimUsers(PrefSim.movieConfig(), whole = false), Clustering.SimWJ)
+  golden("movie-groups-0-2-weighted-jaccard", prefSimUsers(PrefSim.movieConfig(), whole = false), ExactMeasures.SimWJ)
 
   /** The three checks of record `name` against the dendrogram of `population`
     * under `measure`, both built on first use.

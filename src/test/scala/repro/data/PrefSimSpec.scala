@@ -51,10 +51,8 @@ class PrefSimSpec extends AnyFunSuite {
       val users = PrefSim.users(cfg)
       val g0 = users.filter(_.userId % cfg.nGroups == 0).take(2)
       val g1 = users.filter(_.userId % cfg.nGroups == 1).take(1)
-      val same = Clustering.similarity(Clustering.SimVecWJ,
-        Clustering.singleton(g0(0)), Clustering.singleton(g0(1)))
-      val cross = Clustering.similarity(Clustering.SimVecWJ,
-        Clustering.singleton(g0(0)), Clustering.singleton(g1(0)))
+      val same = Clustering.SimVecWJ(Clustering.singleton(g0(0)), Clustering.singleton(g0(1)))
+      val cross = Clustering.SimVecWJ(Clustering.singleton(g0(0)), Clustering.singleton(g1(0)))
       assert(same > cross, s"same=$same cross=$cross")
     }
 
